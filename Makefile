@@ -21,6 +21,12 @@ race-fast:
 vet:
 	go vet ./...
 
+# The end-to-end benchmark in bench/ is its own Go module, so ./... skips
+# it; this vets and tests it against the current sources (~7 s), so an API
+# change the benchmark depends on fails here rather than in a benchmark run.
+bench-test:
+	cd bench && go vet . && go test .
+
 # Serial-vs-parallel micro-benchmarks: the -cpu sweep varies GOMAXPROCS, so
 # the parallel variants (ConvForward, ConvBackward, TrainEpoch) scale with it
 # while the *Serial twins pin one worker as the baseline.
@@ -80,4 +86,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench
+.PHONY: check race race-fast vet bench-test bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench

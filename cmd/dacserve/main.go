@@ -115,7 +115,6 @@ func main() {
 	listen := flag.String("listen", ":8080", "HTTP listen address")
 	maxBatch := flag.Int("max-batch", 16, "max requests coalesced into one forward pass")
 	queue := flag.Int("queue", 256, "per-model request queue depth (backpressure bound)")
-	flush := flag.Duration("flush", 2*time.Millisecond, "batching flush window")
 	threads := flag.Int("threads", 0, "worker threads per model engine (0 = all cores)")
 	bounds := flag.String("bounds", preset.BoundsCSV(), "default conv-index group bounds for the audit endpoint")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in)")
@@ -144,7 +143,6 @@ func main() {
 	reg := serve.NewRegistry(serve.Options{
 		MaxBatch:    *maxBatch,
 		QueueDepth:  *queue,
-		FlushEvery:  *flush,
 		Threads:     *threads,
 		NativeQuant: *native,
 		Store:       store,

@@ -59,6 +59,11 @@ package api
 // field and servers echo it on every predict response.
 const Version = "v1"
 
+// MaxBodyBytes bounds every /v1 request body on both servers (8 MiB is
+// ~1000 CIFAR-sized batch samples — far past any sane request). A larger
+// body answers 400 with CodeBadRequest.
+const MaxBodyBytes = 8 << 20
+
 // PredictRequest is the body of POST /v1/predict on both the replica and
 // the gateway. Exactly one of Input/Inputs must be set.
 type PredictRequest struct {

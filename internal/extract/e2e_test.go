@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/modelio"
 	"repro/internal/nn"
@@ -34,7 +33,7 @@ func startVictim(t *testing.T) (*serve.Registry, *Client) {
 		t.Fatal(err)
 	}
 	reg := serve.NewRegistry(serve.Options{
-		MaxBatch: 4, QueueDepth: 64, FlushEvery: 200 * time.Microsecond,
+		MaxBatch: 4, QueueDepth: 64,
 		Threads: 1, Obs: obs.NewRegistry(),
 	})
 	if _, err := reg.LoadFile("victim", path); err != nil {

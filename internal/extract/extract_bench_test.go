@@ -98,7 +98,7 @@ func TestEmitExtractBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := serve.NewRegistry(serve.Options{
-		MaxBatch: 16, QueueDepth: 256, FlushEvery: 200 * time.Microsecond,
+		MaxBatch: 16, QueueDepth: 256,
 		Threads: threads, Obs: obs.NewRegistry(),
 	})
 	defer reg.Close()

@@ -3,6 +3,7 @@ package gateway
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,6 +71,23 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	want := `{"error":"unknown model operation \"ghost:frobnicate\" (want {name}:policy or {name}:reload)","code":"not_found"}` + "\n"
 	if resp.StatusCode != http.StatusNotFound || string(raw) != want {
 		t.Fatalf("unknown-op envelope drifted (status %d):\n got %s\nwant %s", resp.StatusCode, raw, want)
+	}
+}
+
+// A predict body one byte over api.MaxBodyBytes answers the 400
+// bad_request envelope with its trace_id, before anything is proxied.
+func TestOversizePredictBodyRejected(t *testing.T) {
+	srv := NewServer(testGateway(t, Options{}))
+	pad := api.MaxBodyBytes + 1 - len(`{"model":""}`)
+	body := `{"model":"` + strings.Repeat("a", pad) + `"}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
+	e, err := api.ParseError(rec.Body.Bytes())
+	if rec.Code != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "too large") {
+		t.Fatalf("status %d envelope %+v (%v), want 400 %s on the body limit", rec.Code, e, err, api.CodeBadRequest)
+	}
+	if e.TraceID == "" || e.TraceID != rec.Header().Get(obs.HeaderTrace) {
+		t.Fatalf("trace_id %q vs header %q", e.TraceID, rec.Header().Get(obs.HeaderTrace))
 	}
 }
 

@@ -43,7 +43,7 @@ import (
 type Options struct {
 	// ProbeInterval is the active health-check period. <= 0 disables the
 	// background prober: probes then run only through ProbeAll, which is
-	// what deterministic tests use (mirroring serve's FlushEvery < 0).
+	// what deterministic tests use.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz + /readyz probe pair. 0 selects 2s.
 	ProbeTimeout time.Duration

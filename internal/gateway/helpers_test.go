@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/modelio"
@@ -112,7 +111,6 @@ func startReplica(t testing.TB, id string, store *artifact.Store) *testReplica {
 	reg := serve.NewRegistry(serve.Options{
 		MaxBatch:   4,
 		QueueDepth: 64,
-		FlushEvery: 200 * time.Microsecond,
 		Threads:    1,
 		Obs:        obs.NewRegistry(),
 		Store:      store,

@@ -12,10 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// maxPredictBody bounds a proxied predict request body (8 MiB is ~1000
-// CIFAR-sized batch samples — far past any sane request).
-const maxPredictBody = 8 << 20
-
 // attemptResult is one proxied attempt's outcome.
 type attemptResult struct {
 	status int

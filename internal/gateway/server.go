@@ -96,7 +96,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.gw.finishPredict(tr, client, status, msg)
 	}
 	sp := tr.StartSpan("decode")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
 	if err != nil {
 		sp.End()
 		fail(http.StatusBadRequest, api.CodeBadRequest, "read request body: %v", err)

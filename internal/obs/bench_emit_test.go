@@ -103,9 +103,8 @@ func trainNsPerOp(rounds int) float64 {
 
 // servingBench builds an in-process serving stack for the tracing-overhead
 // measurement: one released model behind the real HTTP handler, MaxBatch 1
-// so every request flushes on arrival (no flush timer, no timing
-// dependence). Returns the server (for EnableTracing) and a ready predict
-// body.
+// so every request is its own batch. Returns the server (for
+// EnableTracing) and a ready predict body.
 func servingBench(t *testing.T) (*serve.Server, []byte) {
 	cfg := nn.ResNetConfig{
 		InC: 1, InH: 12, InW: 12, Classes: 10,
@@ -126,7 +125,7 @@ func servingBench(t *testing.T) (*serve.Server, []byte) {
 		t.Fatal(err)
 	}
 	reg := serve.NewRegistry(serve.Options{
-		MaxBatch: 1, QueueDepth: 64, FlushEvery: -1, Threads: 1,
+		MaxBatch: 1, QueueDepth: 64, Threads: 1,
 		Obs: obs.NewRegistry(),
 	})
 	t.Cleanup(reg.Close)
@@ -169,6 +168,7 @@ func serveNsPerOp(t *testing.T, h http.Handler, body []byte, rounds int) float64
 
 type obsBenchReport struct {
 	Threads          int     `json:"threads"`
+	Notes            string  `json:"notes"`
 	DisabledNsPerOp  float64 `json:"disabled_ns_per_op"`
 	EnabledNsPerOp   float64 `json:"enabled_ns_per_op"`
 	OverheadPct      float64 `json:"overhead_pct"`
@@ -228,7 +228,11 @@ func TestEmitObsBench(t *testing.T) {
 	serveOverhead := (serveTraced - servePlain) / servePlain * 100
 	trainOverhead := (trainTimed - trainPlain) / trainPlain * 100
 	rep := obsBenchReport{
-		Threads:            runtime.GOMAXPROCS(0),
+		Threads: runtime.GOMAXPROCS(0),
+		Notes: "minimum over 3 rounds per side. The serving round trip runs " +
+			"against an engine with no flush timer (a request is flushed as " +
+			"soon as the engine is free), so it measures decode, forward, " +
+			"encode and tracing, never a batching wait.",
 		DisabledNsPerOp:    disabled,
 		EnabledNsPerOp:     enabled,
 		OverheadPct:        overhead,

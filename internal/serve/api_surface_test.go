@@ -17,7 +17,7 @@ import (
 // added or removed without updating this list (and the README API table)
 // is an unreviewed API change.
 func TestRouteInventoryGolden(t *testing.T) {
-	reg := NewRegistry(manualOpts(4, 16))
+	reg := NewRegistry(testOpts(4, 16))
 	defer reg.Close()
 	srv := NewServer(reg, nil)
 	want := []string{
@@ -62,7 +62,7 @@ func TestRouteInventoryGolden(t *testing.T) {
 // envelope as served end-to-end — the same shape internal/api's golden
 // pins at the type level, and the gateway's golden pins on its side.
 func TestErrorEnvelopeGolden(t *testing.T) {
-	reg := NewRegistry(manualOpts(4, 16))
+	reg := NewRegistry(testOpts(4, 16))
 	defer reg.Close()
 	srv := NewServer(reg, nil)
 	srv.EnableTracing(false) // untraced errors omit trace_id: bytes are stable
@@ -108,11 +108,39 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}
 }
 
+// Every replica /v1 body is bounded at api.MaxBodyBytes, as on the
+// gateway: one byte over answers the 400 bad_request envelope (with
+// trace_id on predict) instead of being buffered.
+func TestOversizeBodyRejected(t *testing.T) {
+	reg := NewRegistry(testOpts(4, 16))
+	defer reg.Close()
+	if _, err := reg.LoadFile("demo", writeReleased(t, 70, false)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg, nil)
+	// One valid JSON object spanning the whole body, so a decode can only
+	// fail on the limit.
+	pad := api.MaxBodyBytes + 1 - len(`{"model":""}`)
+	body := []byte(`{"model":"` + strings.Repeat("a", pad) + `"}`)
+	for _, path := range []string{"/v1/predict", "/v1/models/demo:audit", "/v1/models/demo:load", "/v1/models/demo:policy"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		e, err := api.ParseError(rec.Body.Bytes())
+		if rec.Code != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "too large") {
+			t.Errorf("%s: status %d envelope %+v (%v), want 400 %s on the body limit", path, rec.Code, e, err, api.CodeBadRequest)
+			continue
+		}
+		if traced := path == "/v1/predict"; traced != (e.TraceID != "") {
+			t.Errorf("%s: trace_id %q", path, e.TraceID)
+		}
+	}
+}
+
 // TestErrorEnvelopeCarriesTraceID pins the traced variant: the envelope's
 // trace_id matches the X-Dac-Trace response header, so a client can quote
 // it against /tracez.
 func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
-	reg := NewRegistry(manualOpts(4, 16))
+	reg := NewRegistry(testOpts(4, 16))
 	defer reg.Close()
 	ts := httptest.NewServer(NewServer(reg, nil).Handler())
 	defer ts.Close()

@@ -25,7 +25,6 @@ func throughput(tb testing.TB, path string, maxBatch, clients, total int) (reqPe
 	r := NewRegistry(Options{
 		MaxBatch:   maxBatch,
 		QueueDepth: 4 * clients,
-		FlushEvery: 200 * time.Microsecond,
 		Threads:    runtime.GOMAXPROCS(0),
 	})
 	defer r.Close()
@@ -68,7 +67,6 @@ func BenchmarkServePredict(b *testing.B) {
 			r := NewRegistry(Options{
 				MaxBatch:   maxBatch,
 				QueueDepth: 256,
-				FlushEvery: 200 * time.Microsecond,
 				Threads:    runtime.GOMAXPROCS(0),
 			})
 			defer r.Close()
@@ -112,13 +110,14 @@ func TestEmitServeBench(t *testing.T) {
 	const clients, total = 16, 512
 	rep := benchReport{
 		Threads: runtime.GOMAXPROCS(0),
-		Notes: "mean_batch previously saturated at 12.8 with req/s dipping at " +
-			"max_batch=16: Go selects randomly among ready channel cases, so " +
-			"the flush tick could preempt queued requests and cut partial " +
-			"batches under sustained load. The engine now drains the queue " +
-			"non-blocking after each receive and before honoring a tick " +
-			"(Engine.drainQueue), so full batches form whenever the queue has " +
-			"them.",
+		Notes: "closed loop of 16 clients. The engine has no flush timer: it " +
+			"blocks for the first request, takes everything already queued " +
+			"(flushing each time max_batch fills) and flushes the rest at " +
+			"once, so batches form only from requests that arrived while the " +
+			"previous pass computed. The test model's forward pass takes tens " +
+			"of microseconds, so few requests queue behind it and mean_batch " +
+			"stays low; each point lasts tens of milliseconds, so req/s moves " +
+			"by a third between runs.",
 	}
 	for _, maxBatch := range []int{1, 2, 4, 8, 16} {
 		rps, mean := throughput(t, path, maxBatch, clients, total)

@@ -32,7 +32,7 @@ func TestConcurrentPredictBitIdenticalToSerial(t *testing.T) {
 	}
 
 	for _, threads := range []int{1, 3} {
-		opts := manualOpts(5, 64) // deliberately lopsided vs request count
+		opts := testOpts(5, 64) // deliberately lopsided vs request count
 		opts.Threads = threads
 		r := NewRegistry(opts)
 		en, err := r.LoadFile("demo", path)
@@ -57,20 +57,7 @@ func TestConcurrentPredictBitIdenticalToSerial(t *testing.T) {
 				}
 			}(c)
 		}
-		done := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(done)
-		}()
-	tickLoop:
-		for {
-			select {
-			case <-done:
-				break tickLoop
-			default:
-				en.Tick()
-			}
-		}
+		wg.Wait()
 
 		for i := range inputs {
 			if got[i] == nil {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/obs"
@@ -41,7 +40,7 @@ func TestPublishReleaseAndLoadDigest(t *testing.T) {
 		t.Fatalf("republish: digest %s err %v", again, err)
 	}
 
-	r := NewRegistry(Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: -1, Threads: 1, Store: store})
+	r := NewRegistry(Options{MaxBatch: 4, QueueDepth: 16, Threads: 1, Store: store})
 	defer r.Close()
 	en, err := r.LoadDigest("prod", digest, ModeAuto)
 	if err != nil {
@@ -57,26 +56,13 @@ func TestPublishReleaseAndLoadDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		pred, err := en.Predict(in)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for j, v := range pred.Logits {
-			if v != want[0][j] {
-				t.Errorf("logit %d: %v != %v", j, v, want[0][j])
-			}
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			en.Tick()
+	pred, err := en.Predict(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range pred.Logits {
+		if v != want[0][j] {
+			t.Errorf("logit %d: %v != %v", j, v, want[0][j])
 		}
 	}
 }
@@ -99,14 +85,14 @@ func TestLoadDigestErrors(t *testing.T) {
 	}
 
 	// No store attached.
-	r := NewRegistry(Options{FlushEvery: -1, Threads: 1})
+	r := NewRegistry(Options{Threads: 1})
 	defer r.Close()
 	if _, err := r.LoadDigest("prod", digest, ModeAuto); !IsNoStore(err) {
 		t.Fatalf("no-store load error = %v, want ErrNoStore", err)
 	}
 
 	// Unknown digest: the error names what is available.
-	rs := NewRegistry(Options{FlushEvery: -1, Threads: 1, Store: store})
+	rs := NewRegistry(Options{Threads: 1, Store: store})
 	defer rs.Close()
 	missing := strings.Repeat("ab", 32)
 	_, err = rs.LoadDigest("prod", missing, ModeAuto)
@@ -163,7 +149,7 @@ func TestHTTPLoadByDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: 200 * time.Microsecond, Threads: 1, Store: store}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1, Store: store}
 	_, ts := httpServer(t, opts)
 
 	status, body := postJSON(t, ts.URL+"/v1/models/prod:load", loadRequest{Digest: digest})
@@ -195,14 +181,14 @@ func TestHTTPLoadByDigest(t *testing.T) {
 	}
 
 	// No store attached → 501.
-	_, tsNoStore := httpServer(t, Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: -1, Threads: 1})
+	_, tsNoStore := httpServer(t, Options{MaxBatch: 4, QueueDepth: 16, Threads: 1})
 	if status, _ := postJSON(t, tsNoStore.URL+"/v1/models/prod:load", loadRequest{Digest: digest}); status != http.StatusNotImplemented {
 		t.Fatalf("no-store load status %d, want 501", status)
 	}
 }
 
 func TestHTTPReadyzLifecycle(t *testing.T) {
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: -1, Threads: 1}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1}
 	r := NewRegistry(opts)
 	defer r.Close()
 	srv := NewServer(r, nil)
@@ -272,7 +258,7 @@ func TestStatszSkippedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: -1, Threads: 1, Obs: reg}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1, Obs: reg}
 	r, ts := httpServer(t, opts)
 	entries, skipped, err := r.LoadDir(dir, ModeAuto)
 	if err != nil {

@@ -45,9 +45,12 @@ type result struct {
 
 // Engine micro-batches concurrent prediction requests into shared forward
 // passes over one model. Requests enter a bounded queue; the engine
-// goroutine coalesces them and flushes a batch when it reaches MaxBatch or
-// when a tick arrives (from the flush-window timer, or an explicit Tick).
-// The engine goroutine is the sole driver of the model's compute context.
+// goroutine is work-conserving: it blocks for the first request, takes
+// whatever else is already queued (flushing each time MaxBatch fills), and
+// flushes the remainder at once. Batches therefore form only from requests
+// that arrived while the previous pass was computing — coalescing under
+// load, no idle wait when the engine is free. The engine goroutine is the
+// sole driver of the model's compute context.
 type Engine struct {
 	model    *nn.Model
 	ctx      *compute.Ctx
@@ -55,7 +58,6 @@ type Engine struct {
 	maxBatch int
 
 	queue chan *request
-	tick  chan struct{}
 	quit  chan struct{}
 	done  chan struct{}
 
@@ -65,16 +67,16 @@ type Engine struct {
 	mu     sync.RWMutex
 	closed bool
 
-	stats      *EngineStats
-	stopTicker chan struct{} // nil when FlushEvery < 0
+	stats *EngineStats
 
 	// now is the engine's clock (time.Now outside tests); the /tracez
 	// golden injects a fake clock for deterministic timings.
 	now func() time.Time
 
 	// beforeFlush, when set (tests only), runs at the start of every flush
-	// while the engine goroutine is busy — the hook deterministic
-	// backpressure tests use to fill the queue behind a stalled engine.
+	// while the engine goroutine is busy — the hook deterministic tests use
+	// to queue requests behind a stalled engine and so fix batch
+	// composition.
 	beforeFlush func(batch int)
 }
 
@@ -85,7 +87,6 @@ func newEngine(m *nn.Model, name string, opts Options) *Engine {
 		inLen:    m.InputLen(),
 		maxBatch: opts.MaxBatch,
 		queue:    make(chan *request, opts.QueueDepth),
-		tick:     make(chan struct{}),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		stats:    newEngineStats(name, opts),
@@ -93,10 +94,6 @@ func newEngine(m *nn.Model, name string, opts Options) *Engine {
 	}
 	m.SetCtx(e.ctx)
 	go e.loop()
-	if opts.FlushEvery > 0 {
-		e.stopTicker = make(chan struct{})
-		go e.runTicker(opts.FlushEvery)
-	}
 	return e
 }
 
@@ -135,16 +132,6 @@ func (e *Engine) SubmitTimed(input []float64) (Prediction, Timing, error) {
 	return res.pred, res.tm, res.err
 }
 
-// Tick forces a flush of whatever is pending, blocking until the engine
-// observes it. After Close it is a no-op. The flush-window timer calls this
-// on every period; deterministic tests call it directly.
-func (e *Engine) Tick() {
-	select {
-	case e.tick <- struct{}{}:
-	case <-e.done:
-	}
-}
-
 // QueueLen reports the current queue depth (excluding requests the engine
 // has already pulled into its pending batch).
 func (e *Engine) QueueLen() int { return len(e.queue) }
@@ -164,9 +151,6 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	if e.stopTicker != nil {
-		close(e.stopTicker)
-	}
 	close(e.quit)
 	<-e.done
 	e.ctx.Close()
@@ -179,49 +163,29 @@ func (e *Engine) loop() {
 		select {
 		case r := <-e.queue:
 			pending = append(pending, r)
-			if len(pending) >= e.maxBatch {
-				e.flush(&pending)
-			}
 			e.drainQueue(&pending)
-		case <-e.tick:
-			// Gather everything already queued before honoring the tick.
-			// Go selects randomly among ready cases, so under sustained
-			// load the flush timer would otherwise preempt queued requests
-			// and cut partial batches even though a full MaxBatch is
-			// sitting in the channel (the mean-batch 12.8 plateau that
-			// capped req/s at MaxBatch=16 in BENCH_serve.json).
-			e.drainQueue(&pending)
-			e.flush(&pending)
 		case <-e.quit:
-			// Drain: closed was set before quit closed, so no new request
+			// Close: closed was set before quit closed, so no new request
 			// can enter the queue and its length is final.
-			for {
-				select {
-				case r := <-e.queue:
-					pending = append(pending, r)
-					if len(pending) >= e.maxBatch {
-						e.flush(&pending)
-					}
-				default:
-					e.flush(&pending)
-					return
-				}
-			}
+			e.drainQueue(&pending)
+			return
 		}
 	}
 }
 
 // drainQueue moves every request already sitting in the queue into the
-// pending batch without blocking, flushing each time the batch fills.
+// pending batch without blocking, flushing each time the batch fills, then
+// flushes the remainder: no request waits while the engine is free.
 func (e *Engine) drainQueue(pending *[]*request) {
 	for {
+		if len(*pending) == e.maxBatch {
+			e.flush(pending)
+		}
 		select {
 		case r := <-e.queue:
 			*pending = append(*pending, r)
-			if len(*pending) >= e.maxBatch {
-				e.flush(pending)
-			}
 		default:
+			e.flush(pending)
 			return
 		}
 	}
@@ -246,13 +210,16 @@ func (e *Engine) flush(pending *[]*request) {
 	start := e.now()
 	logits, err := e.model.EvalBatch(inputs)
 	lat := e.now().Sub(start)
+	// Count the batch before answering it, so a caller that reads the
+	// stats after its answer arrives always sees its own request.
 	if err != nil {
+		e.stats.recordError(len(batch))
 		for _, r := range batch {
 			r.resp <- result{tm: timingFor(r, flushStart, lat, len(batch)), err: err}
 		}
-		e.stats.recordError(len(batch))
 		return
 	}
+	e.stats.recordBatch(len(batch), lat)
 	for i, r := range batch {
 		r.resp <- result{
 			pred: Prediction{
@@ -263,7 +230,6 @@ func (e *Engine) flush(pending *[]*request) {
 			tm: timingFor(r, flushStart, lat, len(batch)),
 		}
 	}
-	e.stats.recordBatch(len(batch), lat)
 }
 
 // timingFor derives one request's Timing from its flush: queue wait is
@@ -276,19 +242,6 @@ func timingFor(r *request, flushStart time.Time, lat time.Duration, batch int) T
 		qw = 0
 	}
 	return Timing{QueueWait: qw, Compute: lat, Batch: batch}
-}
-
-func (e *Engine) runTicker(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			e.Tick()
-		case <-e.stopTicker:
-			return
-		}
-	}
 }
 
 func argmax(v []float64) int {

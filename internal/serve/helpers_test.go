@@ -88,10 +88,10 @@ func testInputs(n, length int, seed int64) [][]float64 {
 	return out
 }
 
-// manualOpts returns options with the flush timer disabled: batches flush
-// only on size or explicit Tick, so tests are deterministic.
-func manualOpts(maxBatch, queueDepth int) Options {
-	return Options{MaxBatch: maxBatch, QueueDepth: queueDepth, FlushEvery: -1, Threads: 2}
+// testOpts returns engine options with the given batching bounds and a
+// two-worker compute context.
+func testOpts(maxBatch, queueDepth int) Options {
+	return Options{MaxBatch: maxBatch, QueueDepth: queueDepth, Threads: 2}
 }
 
 // fileBytes reads a whole file, failing the test on error.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/compute"
 )
@@ -46,7 +45,6 @@ func TestRegistryHotSwapUnderFire(t *testing.T) {
 	r := NewRegistry(Options{
 		MaxBatch:   4,
 		QueueDepth: 64,
-		FlushEvery: 200 * time.Microsecond,
 		Threads:    1,
 	})
 	defer r.Close()

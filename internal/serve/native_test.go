@@ -11,26 +11,6 @@ import (
 	"repro/internal/quantize"
 )
 
-// predictPred submits one input on its own goroutine and ticks the entry's
-// engine until it answers (the flush timer is disabled in manualOpts).
-func predictPred(en *Entry, in []float64) (Prediction, error) {
-	var pred Prediction
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		pred, err = en.Predict(in)
-	}()
-	for {
-		select {
-		case <-done:
-			return pred, err
-		default:
-			en.Tick()
-		}
-	}
-}
-
 // TestNativeLoadBitIdenticalPredictions pins the registry-level acceptance
 // criterion: a quantized release served codebook-native answers every
 // request bit-identically to the same release served dequantized.
@@ -38,7 +18,7 @@ func TestNativeLoadBitIdenticalPredictions(t *testing.T) {
 	path := writeReleased(t, 101, true)
 	raw := fileBytes(t, path)
 
-	reg := NewRegistry(manualOpts(4, 64))
+	reg := NewRegistry(testOpts(4, 64))
 	defer reg.Close()
 	deq, err := reg.LoadWithMode("deq", bytes.NewReader(raw), ModeDequantized)
 	if err != nil {
@@ -59,11 +39,11 @@ func TestNativeLoadBitIdenticalPredictions(t *testing.T) {
 	}
 
 	for i, in := range testInputs(8, deq.Model().InputLen(), 102) {
-		pd, err := predictPred(deq, in)
+		pd, err := deq.Predict(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pn, err := predictPred(nat, in)
+		pn, err := nat.Predict(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +61,7 @@ func TestNativeLoadBitIdenticalPredictions(t *testing.T) {
 func TestNativeLoadLowerResidentBytes(t *testing.T) {
 	path := writeReleased(t, 103, true)
 	raw := fileBytes(t, path)
-	reg := NewRegistry(manualOpts(4, 64))
+	reg := NewRegistry(testOpts(4, 64))
 	defer reg.Close()
 	deq, err := reg.LoadWithMode("deq", bytes.NewReader(raw), ModeDequantized)
 	if err != nil {
@@ -99,7 +79,7 @@ func TestNativeLoadLowerResidentBytes(t *testing.T) {
 
 func TestModeNativeRejectsFullPrecision(t *testing.T) {
 	path := writeReleased(t, 104, false)
-	reg := NewRegistry(manualOpts(4, 64))
+	reg := NewRegistry(testOpts(4, 64))
 	defer reg.Close()
 	if _, err := reg.LoadWithMode("fp", bytes.NewReader(fileBytes(t, path)), ModeNative); err == nil {
 		t.Fatal("full-precision release accepted in ModeNative")
@@ -110,7 +90,7 @@ func TestModeAutoFollowsNativeQuantOption(t *testing.T) {
 	qraw := fileBytes(t, writeReleased(t, 105, true))
 	fraw := fileBytes(t, writeReleased(t, 106, false))
 
-	off := NewRegistry(manualOpts(4, 64))
+	off := NewRegistry(testOpts(4, 64))
 	defer off.Close()
 	en, err := off.Load("q", bytes.NewReader(qraw))
 	if err != nil {
@@ -120,7 +100,7 @@ func TestModeAutoFollowsNativeQuantOption(t *testing.T) {
 		t.Fatal("NativeQuant off but quantized release loaded native")
 	}
 
-	opts := manualOpts(4, 64)
+	opts := testOpts(4, 64)
 	opts.NativeQuant = true
 	on := NewRegistry(opts)
 	defer on.Close()
@@ -143,7 +123,7 @@ func TestModeAutoFollowsNativeQuantOption(t *testing.T) {
 // does, even though the served model released its float storage.
 func TestNativeAuditModelMatchesDequantized(t *testing.T) {
 	path := writeReleased(t, 107, true)
-	reg := NewRegistry(manualOpts(4, 64))
+	reg := NewRegistry(testOpts(4, 64))
 	defer reg.Close()
 	nat, err := reg.LoadWithMode("nat", bytes.NewReader(fileBytes(t, path)), ModeNative)
 	if err != nil {
@@ -206,7 +186,7 @@ func TestLoadDirSniffsMixedArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := manualOpts(4, 64)
+	opts := testOpts(4, 64)
 	opts.NativeQuant = true
 	reg := NewRegistry(opts)
 	defer reg.Close()
@@ -246,7 +226,7 @@ func TestLoadDirDuplicateNamesError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reg := NewRegistry(manualOpts(4, 64))
+	reg := NewRegistry(testOpts(4, 64))
 	defer reg.Close()
 	if _, _, err := reg.LoadDir(dir, ModeAuto); err == nil {
 		t.Fatal("duplicate serving names accepted")

@@ -13,30 +13,12 @@ import (
 	"repro/internal/obs"
 )
 
-// predictOne submits a single input to a manual-flush engine, ticking until
-// it is answered.
-func predictOne(en *Entry, in []float64) error {
-	done := make(chan error, 1)
-	go func() {
-		_, err := en.Predict(in)
-		done <- err
-	}()
-	for {
-		select {
-		case err := <-done:
-			return err
-		default:
-			en.Tick()
-		}
-	}
-}
-
 // The /statsz snapshot shape is API: dashboards parse it. The golden
 // serialization pins every key (and the omitempty behaviour of errored and
 // batch_hist) across the migration onto the obs registry.
 func TestStatszSnapshotJSONShapeGolden(t *testing.T) {
 	path := writeReleased(t, 90, false)
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = obs.NewRegistry()
 	r := NewRegistry(opts)
 	defer r.Close()
@@ -45,7 +27,7 @@ func TestStatszSnapshotJSONShapeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := predictOne(en, testInputs(1, en.Model().InputLen(), 91)[0]); err != nil {
+	if _, err := en.Predict(testInputs(1, en.Model().InputLen(), 91)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +52,7 @@ func TestStatszSnapshotJSONShapeGolden(t *testing.T) {
 func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 	path := writeReleased(t, 92, false)
 	oreg := obs.NewRegistry()
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = oreg
 	opts.LatencyBuckets = []float64{0.5, 1} // exercise configurable bounds
 	r := NewRegistry(opts)
@@ -80,7 +62,7 @@ func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := predictOne(en, testInputs(1, en.Model().InputLen(), 93)[0]); err != nil {
+	if _, err := en.Predict(testInputs(1, en.Model().InputLen(), 93)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +106,7 @@ func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 func TestStatsDuringShutdownNoRace(t *testing.T) {
 	path := writeReleased(t, 94, false)
 	oreg := obs.NewRegistry()
-	opts := manualOpts(4, 64)
+	opts := testOpts(4, 64)
 	opts.Obs = oreg
 	r := NewRegistry(opts)
 	en, err := r.LoadFile("demo", path)
@@ -183,7 +165,7 @@ func TestStatsDuringShutdownNoRace(t *testing.T) {
 // JSON with ?format=json).
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	path := writeReleased(t, 96, false)
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: 200 * time.Microsecond, Threads: 1, Obs: obs.NewRegistry()}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1, Obs: obs.NewRegistry()}
 	r, ts := httpServer(t, opts)
 	en, err := r.LoadFile("demo", path)
 	if err != nil {

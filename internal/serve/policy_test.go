@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/obs"
@@ -92,7 +91,7 @@ func equalFloats(got, want []float64) bool {
 }
 
 func TestRegistrySetPolicy(t *testing.T) {
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	defer r.Close()
 	if err := r.SetPolicy("m", Policy{Mode: "bogus"}); err == nil {
 		t.Fatal("invalid policy accepted")
@@ -173,7 +172,7 @@ func TestDetectorClientOverflow(t *testing.T) {
 // probs/logits without any server-side policy.
 func TestHTTPPredictOmitScoresAndVersion(t *testing.T) {
 	path := writeReleased(t, 60, false)
-	opts := Options{MaxBatch: 4, QueueDepth: 64, FlushEvery: 200 * time.Microsecond, Threads: 2}
+	opts := Options{MaxBatch: 4, QueueDepth: 64, Threads: 2}
 	r, ts := httpServer(t, opts)
 	if _, err := r.LoadFile("demo", path); err != nil {
 		t.Fatal(err)
@@ -200,7 +199,7 @@ func TestHTTPPredictOmitScoresAndVersion(t *testing.T) {
 // policy's effect on predictions, all without reloading the model.
 func TestHTTPPolicyEndpoint(t *testing.T) {
 	path := writeReleased(t, 60, false)
-	opts := Options{MaxBatch: 4, QueueDepth: 64, FlushEvery: 200 * time.Microsecond, Threads: 2}
+	opts := Options{MaxBatch: 4, QueueDepth: 64, Threads: 2}
 	r, ts := httpServer(t, opts)
 	if _, err := r.LoadFile("demo", path); err != nil {
 		t.Fatal(err)

@@ -60,7 +60,6 @@ func quantThroughput(tb testing.TB, path string, mode LoadMode, maxBatch, client
 	r := NewRegistry(Options{
 		MaxBatch:   maxBatch,
 		QueueDepth: 4 * clients,
-		FlushEvery: 200 * time.Microsecond,
 		Threads:    runtime.GOMAXPROCS(0),
 	})
 	defer r.Close()
@@ -147,7 +146,8 @@ func TestEmitServeQuantBench(t *testing.T) {
 			"bit-identical (TestNativeLoadBitIdenticalPredictions). " +
 			"codebook-native reads 1 byte per weight through LUT kernels and " +
 			"releases the float weight copies, so resident bytes must be " +
-			"strictly lower and req/s at least equal.",
+			"strictly lower and req/s at least equal. The engine has no " +
+			"flush timer: it flushes whatever is queued as soon as it is free.",
 		Points:        []quantBenchPoint{deq, nat},
 		ResidentRatio: float64(nat.ResidentBytes) / float64(deq.ResidentBytes),
 		SpeedRatio:    nat.ReqPerSec / deq.ReqPerSec,

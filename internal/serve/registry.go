@@ -126,9 +126,6 @@ func (en *Entry) ResidentBytes() int {
 // Stats returns the engine's counters.
 func (en *Entry) Stats() Snapshot { return en.engine.Stats() }
 
-// Tick forces the engine to flush its pending batch (see Engine.Tick).
-func (en *Entry) Tick() { en.engine.Tick() }
-
 // Registry holds the models a server is willing to serve, keyed by name.
 // All methods are safe for concurrent use; Load hot-swaps atomically.
 type Registry struct {

@@ -10,7 +10,7 @@ import (
 
 func TestRegistryLoadFile(t *testing.T) {
 	path := writeReleased(t, 30, true)
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	defer r.Close()
 
 	en, err := r.LoadFile("demo", path)
@@ -39,7 +39,7 @@ func TestRegistryLoadFile(t *testing.T) {
 func TestRegistryRejectsCorruptFile(t *testing.T) {
 	path := writeReleased(t, 31, false)
 	raw := fileBytes(t, path)
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	defer r.Close()
 	if _, err := r.Load("bad", strings.NewReader(string(raw[:len(raw)/2]))); err == nil {
 		t.Fatal("expected error for truncated file")
@@ -60,7 +60,7 @@ func TestRegistryRejectsCorruptFile(t *testing.T) {
 func TestRegistryHotReload(t *testing.T) {
 	pathA := writeReleased(t, 32, false)
 	pathB := writeReleased(t, 33, true)
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	defer r.Close()
 
 	enA, err := r.LoadFile("demo", pathA)
@@ -94,11 +94,11 @@ func TestRegistryHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, errs := submitAll(enB.engine, [][]float64{in}, true)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	pred, err := enB.Predict(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for j, v := range preds[0].Logits {
+	for j, v := range pred.Logits {
 		if v != want[0][j] {
 			t.Fatalf("reloaded logit %d: %v != %v", j, v, want[0][j])
 		}
@@ -107,7 +107,7 @@ func TestRegistryHotReload(t *testing.T) {
 
 func TestRegistryRemoveAndClose(t *testing.T) {
 	path := writeReleased(t, 34, false)
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	en, err := r.LoadFile("demo", path)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRegistryRemoveAndClose(t *testing.T) {
 // digest — the content hash is the identity, the name is just routing.
 func TestRegistryDigestKeyedByContent(t *testing.T) {
 	path := writeReleased(t, 35, true)
-	r := NewRegistry(manualOpts(4, 16))
+	r := NewRegistry(testOpts(4, 16))
 	defer r.Close()
 	a, err := r.LoadFile("a", path)
 	if err != nil {

@@ -31,7 +31,6 @@ package serve
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/obs"
@@ -46,12 +45,6 @@ type Options struct {
 	// QueueDepth bounds each model's request queue; submissions beyond it
 	// fail fast with ErrQueueFull. <= 0 selects 256.
 	QueueDepth int
-	// FlushEvery is the batching flush window: pending requests are flushed
-	// when MaxBatch is reached or on the next tick, whichever comes first.
-	// 0 selects 2ms. Negative disables the timer entirely — flushes then
-	// happen only on batch size or explicit Engine.Tick, which is what the
-	// deterministic tests use.
-	FlushEvery time.Duration
 	// Threads is the worker count of each model engine's compute context
 	// (0 = GOMAXPROCS). Responses are bit-identical for every value.
 	Threads int
@@ -95,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
-	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 2 * time.Millisecond
 	}
 	if o.Obs == nil {
 		o.Obs = obs.Default

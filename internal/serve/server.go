@@ -168,10 +168,14 @@ func (s *Server) StartDrain() {
 	s.readiness.Store(readyDraining)
 }
 
-// Handler returns the root handler.
+// Handler returns the root handler. Every request body is bounded at
+// api.MaxBodyBytes, so a direct client cannot make the replica buffer
+// more than the gateway would forward; an oversize body fails its JSON
+// decode and answers 400.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.httpRequests.Inc()
+		r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 		s.mux.ServeHTTP(w, r)
 	})
 }

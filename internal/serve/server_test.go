@@ -5,18 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
 )
 
-// httpServer wires a registry with a real flush-window timer (the
-// production configuration) behind httptest. The tiny window keeps single
-// requests fast; correctness never depends on when flushes land.
+// httpServer wires a registry behind httptest; correctness never depends
+// on when flushes land.
 func httpServer(t *testing.T, opts Options) (*Registry, *httptest.Server) {
 	t.Helper()
 	r := NewRegistry(opts)
@@ -62,7 +58,7 @@ func getJSON(t *testing.T, url string) (int, map[string]json.RawMessage) {
 
 func TestHTTPPredictSingleAndBatch(t *testing.T) {
 	path := writeReleased(t, 60, true)
-	opts := Options{MaxBatch: 4, QueueDepth: 64, FlushEvery: 200 * time.Microsecond, Threads: 2}
+	opts := Options{MaxBatch: 4, QueueDepth: 64, Threads: 2}
 	r, ts := httpServer(t, opts)
 	if _, err := r.LoadFile("demo", path); err != nil {
 		t.Fatal(err)
@@ -114,7 +110,7 @@ func TestHTTPPredictSingleAndBatch(t *testing.T) {
 
 func TestHTTPPredictErrors(t *testing.T) {
 	path := writeReleased(t, 62, false)
-	opts := Options{MaxBatch: 4, QueueDepth: 64, FlushEvery: 200 * time.Microsecond, Threads: 1}
+	opts := Options{MaxBatch: 4, QueueDepth: 64, Threads: 1}
 	r, ts := httpServer(t, opts)
 	en, err := r.LoadFile("demo", path)
 	if err != nil {
@@ -151,72 +147,37 @@ func TestHTTPPredictErrors(t *testing.T) {
 // A stalled engine with a full queue must surface as 429 over HTTP.
 func TestHTTPPredictBackpressure429(t *testing.T) {
 	path := writeReleased(t, 63, false)
-	r, ts := httpServer(t, manualOpts(2, 2))
+	r, ts := httpServer(t, testOpts(2, 2))
 	en, err := r.LoadFile("demo", path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := en.Model().InputLen()
 
-	inFlush := make(chan struct{})
-	release := make(chan struct{})
-	var hooked sync.Once
-	en.engine.beforeFlush = func(int) {
-		hooked.Do(func() {
-			close(inFlush)
-			<-release
-		})
-	}
-	// Two submissions trigger a size flush, which stalls in the hook. They
+	stalled, release := stallFirstFlush(en.engine)
+	// The first submission starts a flush, which stalls in the hook. It
 	// must land before the queue-fillers: submitted together, the scheduler
 	// can let the fillers win the queue slots and bounce the rest with
 	// ErrQueueFull before the engine ever stalls, and the queue then never
 	// refills to 2.
-	var wg sync.WaitGroup
-	for _, in := range testInputs(2, u, 64) {
-		wg.Add(1)
-		go func(in []float64) {
-			defer wg.Done()
-			en.Predict(in)
-		}(in)
-	}
-	<-inFlush
+	wg := submitAsync(t, en.engine, testInputs(1, u, 64))
+	<-stalled
 	// The engine goroutine is stalled, so these fill the drained queue.
-	for _, in := range testInputs(2, u, 66) {
-		wg.Add(1)
-		go func(in []float64) {
-			defer wg.Done()
-			en.Predict(in)
-		}(in)
-	}
-	for en.engine.QueueLen() < 2 {
-		runtime.Gosched()
-	}
+	queued := submitAsync(t, en.engine, testInputs(2, u, 66))
+	waitQueueLen(en.engine, 2)
 
 	status, body := postJSON(t, ts.URL+"/v1/predict", predictRequest{Model: "demo", Input: make([]float64, u)})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", status, body["error"])
 	}
-
-	close(release)
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			en.Tick()
-		}
-	}
+	release()
+	wg.Wait()
+	queued.Wait()
 }
 
 func TestHTTPModelsAndHealthAndStats(t *testing.T) {
 	path := writeReleased(t, 65, true)
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: 200 * time.Microsecond, Threads: 1}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1}
 	r, ts := httpServer(t, opts)
 	en, err := r.LoadFile("demo", path)
 	if err != nil {
@@ -262,7 +223,7 @@ func TestHTTPModelsAndHealthAndStats(t *testing.T) {
 func TestHTTPAuditMatchesOfflineVerdict(t *testing.T) {
 	for _, quantized := range []bool{false, true} {
 		path := writeReleased(t, 67, quantized)
-		opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: 200 * time.Microsecond, Threads: 1}
+		opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1}
 		r, ts := httpServer(t, opts)
 		en, err := r.LoadFile("demo", path)
 		if err != nil {
@@ -329,7 +290,7 @@ func TestHTTPAuditMatchesOfflineVerdict(t *testing.T) {
 // answer 503.
 func TestHTTPPredictAfterShutdown503(t *testing.T) {
 	path := writeReleased(t, 68, false)
-	opts := Options{MaxBatch: 4, QueueDepth: 16, FlushEvery: 200 * time.Microsecond, Threads: 1}
+	opts := Options{MaxBatch: 4, QueueDepth: 16, Threads: 1}
 	r, ts := httpServer(t, opts)
 	en, err := r.LoadFile("demo", path)
 	if err != nil {

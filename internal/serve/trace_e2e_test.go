@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/obs"
@@ -26,7 +25,6 @@ func TestEndToEndTraceAcrossGatewayAndReplica(t *testing.T) {
 	reg := NewRegistry(Options{
 		MaxBatch:   4,
 		QueueDepth: 64,
-		FlushEvery: 200 * time.Microsecond,
 		Threads:    1,
 		Obs:        obs.NewRegistry(),
 	})

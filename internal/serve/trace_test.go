@@ -15,9 +15,9 @@ import (
 )
 
 // traceClock returns a clock that advances step per read, starting at
-// base. With the flush timer disabled, every clock read in a single-request
-// predict happens in one deterministic order (trace start, decode span,
-// submit, flush, eval, finish), which is what pins the /tracez golden.
+// base. Every clock read in a single-request predict happens in one
+// deterministic order (trace start, decode span, submit, flush, eval,
+// finish), which is what pins the /tracez golden.
 func traceClock(base time.Time, step time.Duration) func() time.Time {
 	var mu sync.Mutex
 	cur := base
@@ -29,24 +29,11 @@ func traceClock(base time.Time, step time.Duration) func() time.Time {
 	}
 }
 
-// tracePredict drives one traced predict through the full HTTP handler
-// with a manual-flush engine, ticking until the response is written.
-func tracePredict(t *testing.T, api *Server, en *Entry, req *http.Request) *httptest.ResponseRecorder {
-	t.Helper()
+// tracePredict drives one traced predict through the full HTTP handler.
+func tracePredict(api *Server, req *http.Request) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		api.Handler().ServeHTTP(rec, req)
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			return rec
-		default:
-			en.Tick()
-		}
-	}
+	api.Handler().ServeHTTP(rec, req)
+	return rec
 }
 
 // The /tracez JSON shape is API: the golden pins every record and span
@@ -55,7 +42,7 @@ func tracePredict(t *testing.T, api *Server, en *Entry, req *http.Request) *http
 // /statsz golden).
 func TestTracezGoldenWithFakeClock(t *testing.T) {
 	path := writeReleased(t, 80, false)
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = obs.NewRegistry()
 	r := NewRegistry(opts)
 	defer r.Close()
@@ -68,8 +55,8 @@ func TestTracezGoldenWithFakeClock(t *testing.T) {
 	// One clock shared by server and engine: reads land in a fixed order —
 	// (1) trace start, (2,3) decode span, (4) predict span start, (5)
 	// submit enqueue, (6) flush start, (7,8) eval start/end, (9) predict
-	// span end, (10) finish. Empty flushes read no clock, so the tick loop
-	// does not perturb the sequence.
+	// span end, (10) finish. Empty flushes read no clock, so the engine's
+	// final empty drain does not perturb the sequence.
 	clock := traceClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond)
 	api.now = clock
 	en.engine.now = clock
@@ -81,7 +68,7 @@ func TestTracezGoldenWithFakeClock(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
 	req.Header.Set(obs.HeaderTrace, "000102030405060708090a0b0c0d0e0f")
 	req.Header.Set(obs.HeaderClient, "tester")
-	rec := tracePredict(t, api, en, req)
+	rec := tracePredict(api, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -108,7 +95,7 @@ func TestTracezGoldenWithFakeClock(t *testing.T) {
 // Predict error bodies carry the trace ID (matching the X-Dac-Trace
 // response header), so a failed client call is correlatable with /tracez.
 func TestPredictErrorBodyCarriesTraceID(t *testing.T) {
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = obs.NewRegistry()
 	r := NewRegistry(opts)
 	defer r.Close()
@@ -147,7 +134,7 @@ func TestPredictErrorBodyCarriesTraceID(t *testing.T) {
 func TestTracingDisabledNoOps(t *testing.T) {
 	path := writeReleased(t, 82, false)
 	oreg := obs.NewRegistry()
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = oreg
 	r := NewRegistry(opts)
 	defer r.Close()
@@ -164,7 +151,7 @@ func TestTracingDisabledNoOps(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
 	req.Header.Set(obs.HeaderClient, "alice")
-	rec := tracePredict(t, api, en, req)
+	rec := tracePredict(api, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -186,7 +173,7 @@ func TestTracingDisabledNoOps(t *testing.T) {
 // same trace ID /tracez holds.
 func TestAccessLogLineShape(t *testing.T) {
 	path := writeReleased(t, 84, false)
-	opts := manualOpts(4, 16)
+	opts := testOpts(4, 16)
 	opts.Obs = obs.NewRegistry()
 	r := NewRegistry(opts)
 	defer r.Close()
@@ -204,7 +191,7 @@ func TestAccessLogLineShape(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
 	req.Header.Set(obs.HeaderClient, "alice")
-	if rec := tracePredict(t, api, en, req); rec.Code != http.StatusOK {
+	if rec := tracePredict(api, req); rec.Code != http.StatusOK {
 		t.Fatalf("predict status %d: %s", rec.Code, rec.Body.String())
 	}
 
