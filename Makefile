@@ -21,6 +21,16 @@ race-fast:
 vet:
 	go vet ./...
 
+# Short fuzzing of the parsers that read bytes from another process: the
+# dist partial and control codecs and the session frame reader (what a
+# socket peer sends). go test -fuzz takes one target per invocation, so
+# each target gets its own line and 10 s; plain go test runs only the seed
+# corpora.
+fuzz-short:
+	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime 10s
+	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodeCtl$$' -fuzztime 10s
+	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
+
 # The end-to-end benchmark in bench/ is its own Go module, so ./... skips
 # it; this vets and tests it against the current sources (~7 s), so an API
 # change the benchmark depends on fails here rather than in a benchmark run.
@@ -68,9 +78,9 @@ extract-bench:
 	go test ./internal/extract/ -run '^TestEmitExtractBench$$' -count=1 -v -timeout 30m -args -emit-bench=$(CURDIR)/BENCH_extract.json
 
 # Data-parallel training benchmark: the same fixed-shard training job at
-# procs ∈ {1,2,4} (in-process ranks over a shared mailbox) written to
-# BENCH_dp.json; fails unless the final checkpoint is byte-identical across
-# every process count.
+# procs ∈ {1,2,4} (in-process ranks, each with its own loopback session)
+# written to BENCH_dp.json with wall time and exchange time per step; fails
+# unless the final checkpoint is byte-identical across every process count.
 dp-bench:
 	go test ./internal/dist/ -run '^TestEmitDPBench$$' -count=1 -v -timeout 20m -args -emit-bench=$(CURDIR)/BENCH_dp.json
 
@@ -86,4 +96,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet bench-test bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench
+.PHONY: check race race-fast vet fuzz-short bench-test bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench

@@ -9,13 +9,14 @@ import (
 	"testing"
 )
 
-// The mailbox protocol in internal/dist trusts the store's publication to
-// be atomic across OS process boundaries: a reader polling a key either
-// misses it or reads one writer's complete bytes, never a torn mix. This
-// test pins that with real subprocesses — the test re-executes its own
-// binary in a helper mode where each of several processes hammers Put on
-// the same key with a distinct payload — and then checks the surviving
-// entry is exactly one writer's payload.
+// Processes share one store through -cache-dir: the coordinator and the
+// workers of a multi-process run, and separate invocations that reuse a
+// cache. They trust the store's publication to be atomic across OS process
+// boundaries: a reader either misses a key or reads one writer's complete
+// bytes, never a torn mix. This test pins that with real subprocesses —
+// the test re-executes its own binary in a helper mode where each of
+// several processes hammers Put on the same key with a distinct payload —
+// and then checks the surviving entry is exactly one writer's payload.
 
 const (
 	contentionDirEnv  = "ARTIFACT_CONTENTION_DIR"

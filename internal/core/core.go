@@ -110,7 +110,7 @@ type Config struct {
 	Shards int
 	// Dist, when non-nil, runs the train stage across this session's
 	// process group: batches are sharded across ranks and gradient
-	// partials exchanged through the session's mailbox. Worker ranks
+	// partials exchanged over the session's connections. Worker ranks
 	// (Dist.Worker()) run the pipeline only through the train stage —
 	// their role ends once the coordinator has the jointly trained model —
 	// and skip quantize/finetune/extract. Results are byte-identical to a
@@ -250,8 +250,16 @@ func Run(cfg Config) *Result {
 		keys: make(map[string]string),
 	}
 	for _, st := range stages() {
+		workerTrain := st.name == "train" && p.distWorker()
+		if workerTrain {
+			// The coordinator's verdict, read in train.Run, decides
+			// whether a worker trains or loads the run from the shared
+			// cache, so a worker neither probes nor writes this stage's
+			// cache entry.
+			st.kinds = nil
+		}
 		p.exec(st)
-		if st.name == "train" && cfg.Dist != nil && cfg.Dist.Worker() {
+		if workerTrain {
 			// A worker's job ends with the jointly trained model: the
 			// downstream stages (quantize, finetune, extract) run only on
 			// the coordinator, whose process owns the run's outputs.

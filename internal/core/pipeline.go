@@ -99,7 +99,7 @@ func stages() []*stage {
 // exec runs one stage: key derivation, cache probe, compute, persist.
 // Keys are derived when a store is attached — and also for distributed
 // runs without one, because the train stage's key doubles as the run's
-// mailbox token (every rank derives it identically from the shared
+// dist token (every rank derives it identically from the shared
 // configuration).
 func (p *pipeline) exec(st *stage) {
 	var key string
@@ -365,9 +365,8 @@ func stageTrain() *stage {
 			}
 			p.trainRes = train.Run(p.m, p.x, p.y, tcfg)
 			if p.trainRes.DistSkipped {
-				// This worker arrived at a run the coordinator satisfied
-				// from cache: nothing was exchanged, so load the published
-				// model state instead.
+				// The coordinator's verdict: it served this run from
+				// cache, so load the model state it published.
 				if p.store == nil {
 					panic("core: dist worker found a completed run but has no store to load it from")
 				}
@@ -377,7 +376,17 @@ func stageTrain() *stage {
 			}
 		},
 		load: func(p *pipeline, key string) error {
-			return p.loadTrainedState(key)
+			if err := p.loadTrainedState(key); err != nil {
+				return err
+			}
+			// Only a coordinator probes this stage's cache (Run clears a
+			// worker's kinds): its workers are waiting for the verdict.
+			if p.cfg.Dist != nil {
+				if err := p.cfg.Dist.Complete(key); err != nil {
+					p.logf("dist: send complete verdict: %v", err)
+				}
+			}
+			return nil
 		},
 		save: func(p *pipeline, key string) error {
 			ck := train.Capture(p.m, nil, p.cfg.Epochs, p.trainRes.Epochs)
@@ -386,15 +395,6 @@ func stageTrain() *stage {
 			})
 		},
 		after: func(p *pipeline) {
-			// The coordinator marks the run complete first thing — whether
-			// it trained or loaded from cache — so a worker polling
-			// AwaitBegin for a cache-satisfied run unblocks without
-			// waiting out the accuracy evaluation below.
-			if p.cfg.Dist != nil && p.cfg.Dist.Coordinator() {
-				if err := p.cfg.Dist.Complete(p.keys["train"]); err != nil {
-					p.logf("dist: publish completion marker: %v", err)
-				}
-			}
 			p.res.PreQuantTestAcc = p.m.Accuracy(p.tx, p.ty, 64)
 			p.logf("trained: test acc %.2f%%", 100*p.res.PreQuantTestAcc)
 		},

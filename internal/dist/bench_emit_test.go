@@ -2,12 +2,13 @@ package dist_test
 
 // dp-bench: the data-parallel benchmark behind `make dp-bench`. It runs the
 // same fixed-shard training job at several process counts (ranks as
-// goroutines sharing a mailbox directory, each with a private compute
+// goroutines, each with its own loopback session and a private compute
 // context — the same execution structure separate OS processes have),
-// records per-shape wall time into BENCH_dp.json, and hard-gates the PR's
-// acceptance criterion: the final checkpoint digest must be identical
-// across every shape. No wall-time gate — in one container the shapes share
-// cores, so multi-process wall time is reported honestly, not judged.
+// records per-shape wall time and exchange time per step into
+// BENCH_dp.json, and hard-gates the determinism contract: the final
+// checkpoint digest must be identical across every shape. No wall-time
+// gate — in one container the shapes share cores, so multi-process wall
+// time is reported honestly, not judged.
 
 import (
 	"crypto/sha256"
@@ -28,6 +29,9 @@ type dpShapeReport struct {
 	EpochWallNs   int64   `json:"epoch_wall_ns"`
 	CheckpointSHA string  `json:"checkpoint_sha256"`
 	VsOneProc     float64 `json:"wall_vs_one_proc"`
+	// ExchangeNsPerStep is rank 0's EpochStats.Exchange summed over the
+	// run, divided by its step count (0 for one process).
+	ExchangeNsPerStep int64 `json:"exchange_ns_per_step"`
 }
 
 type dpBenchReport struct {
@@ -47,20 +51,21 @@ func TestEmitDPBench(t *testing.T) {
 	var ref string
 	for _, procs := range []int{1, 2, 4} {
 		start := time.Now()
-		ck := trainShape(t, 1, procs)
+		run := runShape(t, 1, procs, true)
 		wall := time.Since(start)
-		sum := sha256.Sum256(ck)
+		sum := sha256.Sum256(run.ck)
 		digest := fmt.Sprintf("%x", sum)
 		if procs == 1 {
 			ref = digest
 		}
 		rep.Shapes = append(rep.Shapes, dpShapeReport{
 			Procs: procs, Threads: 1,
-			WallNs:        wall.Nanoseconds(),
-			EpochWallNs:   wall.Nanoseconds() / int64(shapeEpochs),
-			CheckpointSHA: digest,
+			WallNs:            wall.Nanoseconds(),
+			EpochWallNs:       wall.Nanoseconds() / int64(shapeEpochs),
+			CheckpointSHA:     digest,
+			ExchangeNsPerStep: run.exchange.Nanoseconds() / int64(run.steps),
 		})
-		t.Logf("procs=%d: wall %v, checkpoint %s", procs, wall, digest[:16])
+		t.Logf("procs=%d: wall %v, exchange %v/step, checkpoint %s", procs, wall, run.exchange/time.Duration(run.steps), digest[:16])
 	}
 	base := rep.Shapes[0].WallNs
 	for i := range rep.Shapes {

@@ -3,18 +3,19 @@ package dist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Wire formats. Both are magic header + SHA-256 payload digest + gob
-// payload. The digest is what makes mailbox reads trustworthy across
-// process boundaries: the store's atomic rename already prevents torn
-// reads, and the digest additionally rejects foreign or corrupted bytes
-// before gob gets to parse them (a gob error deep in a float slice is
-// much harder to diagnose than "payload digest mismatch").
+// payload, and each travels as the body of one length-prefixed frame on a
+// session connection. The digest rejects corrupted bytes before gob gets
+// to parse them (a gob error deep in a float slice is much harder to
+// diagnose than "payload digest mismatch").
 const (
 	partialMagic = "DACGRD1\n"
 	ctlMagic     = "DACCTL1\n"
@@ -25,6 +26,13 @@ var ErrBadPartial = errors.New("dist: bad magic (not a gradient partial)")
 
 // ErrBadCtl reports that a stream is not a control artifact.
 var ErrBadCtl = errors.New("dist: bad magic (not a dist control message)")
+
+// errFrameTooLarge reports a frame whose length prefix exceeds what the
+// reader expects; the body is refused before it is allocated.
+var errFrameTooLarge = errors.New("dist: frame exceeds its bound")
+
+// maxCtlFrame bounds a control frame; a manifest encodes to ~200 bytes.
+const maxCtlFrame = 4 << 10
 
 // Partial is one shard's contribution to one optimizer step: the shard's
 // flattened gradient (already reduced over the shard's samples in sample
@@ -51,7 +59,7 @@ type Partial struct {
 // every field a worker must agree on before exchanging partials. A worker
 // validates its locally derived view against the manifest and fails fast
 // on any mismatch — a configuration drift would otherwise surface as a
-// hung fetch or, worse, a silently different model.
+// rejected partial or, worse, a silently different model.
 type Manifest struct {
 	Token      string
 	Procs      int
@@ -61,81 +69,95 @@ type Manifest struct {
 	Epochs     int
 	StartEpoch int // first epoch to run (resume cursor; 0 for fresh runs)
 	ParamCount int // total scalar parameter count
+	Moments    int // batch-norm moment vector length of every partial
 }
 
-// ctl is the control-channel payload: a begin announcement carrying the
-// manifest, a completion marker published after the coordinator's train
-// stage has finished (fresh or from cache) so late-joining workers know to
-// load the result instead of waiting for a run that will never start, or a
-// per-rank done marker workers publish after their last step so the
-// coordinator knows the final partial generations have been consumed and
-// can be garbage collected.
+// maxPartialFrame bounds a partial frame of the run: gob spends at most 9
+// bytes per float64; magic, digest, gob types and position fit in 1 KiB.
+func maxPartialFrame(man *Manifest) int {
+	return 1<<10 + len(man.Token) + 9*(man.ParamCount+man.Moments)
+}
+
+// ctl is the coordinator's one verdict per train-stage run, in DACCTL1:
+// begin, carrying the manifest, or complete, when it served the run from
+// its cache and workers load the result instead of training.
 type ctl struct {
-	Kind     string // "begin", "complete", or "done"
+	Kind     string // "begin" or "complete"
 	Manifest Manifest
 }
 
-// encodeFramed writes magic + sha256(payload) + payload.
-func encodeFramed(w io.Writer, magic string, payload []byte) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return fmt.Errorf("dist: write header: %w", err)
+// writeFrames writes each body behind its 4-byte big-endian length.
+func writeFrames(w io.Writer, bodies ...[]byte) error {
+	bufs := make(net.Buffers, 0, 2*len(bodies))
+	for _, b := range bodies {
+		bufs = append(bufs, binary.BigEndian.AppendUint32(nil, uint32(len(b))), b)
 	}
-	sum := sha256.Sum256(payload)
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("dist: write digest: %w", err)
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readFrame reads one length-prefixed frame body of at most max bytes. A
+// longer prefix is refused before anything is allocated for the body.
+func readFrame(r io.Reader, max int) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("dist: write payload: %w", err)
+	n := binary.BigEndian.Uint32(hdr[:])
+	if uint64(n) > uint64(max) {
+		return nil, fmt.Errorf("%w: %d bytes, at most %d expected", errFrameTooLarge, n, max)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, fmt.Errorf("dist: truncated %d-byte frame: %w", n, err)
+	}
+	return body, nil
+}
+
+// encodeFramed returns magic + sha256(payload) + payload, where payload is
+// v's gob encoding.
+func encodeFramed(magic string, v any) ([]byte, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		return nil, fmt.Errorf("dist: encode %T: %w", v, err)
+	}
+	sum := sha256.Sum256(payload.Bytes())
+	return append(append([]byte(magic), sum[:]...), payload.Bytes()...), nil
+}
+
+// decodeFramed verifies b's magic and payload digest, then decodes the
+// payload into v.
+func decodeFramed(b []byte, magic string, badMagic error, v any) error {
+	if !bytes.HasPrefix(b, []byte(magic)) {
+		return fmt.Errorf("%w: header %q", badMagic, b[:min(len(b), len(magic))])
+	}
+	hdr := len(magic) + sha256.Size
+	if len(b) < hdr {
+		return fmt.Errorf("dist: truncated digest: %w", io.ErrUnexpectedEOF)
+	}
+	if sha256.Sum256(b[hdr:]) != [sha256.Size]byte(b[len(magic):hdr]) {
+		return fmt.Errorf("dist: payload digest mismatch (%d bytes)", len(b)-hdr)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(b[hdr:])).Decode(v); err != nil {
+		return fmt.Errorf("dist: decode %T: %w", v, err)
 	}
 	return nil
 }
 
-// decodeFramed verifies the magic and payload digest, returning the
-// payload bytes.
-func decodeFramed(r io.Reader, magic string, badMagic error) ([]byte, error) {
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("dist: truncated header: %w", io.ErrUnexpectedEOF)
-	}
-	if string(hdr) != magic {
-		return nil, fmt.Errorf("%w: header %q", badMagic, hdr)
-	}
-	var sum [sha256.Size]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("dist: truncated digest: %w", io.ErrUnexpectedEOF)
-	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dist: read payload: %w", err)
-	}
-	if sha256.Sum256(payload) != sum {
-		return nil, fmt.Errorf("dist: payload digest mismatch (%d bytes)", len(payload))
-	}
-	return payload, nil
-}
-
-// EncodePartial serializes p to w in the DACGRD1 format.
-func EncodePartial(w io.Writer, p *Partial) error {
+// EncodePartial serializes p in the DACGRD1 format.
+func EncodePartial(p *Partial) ([]byte, error) {
 	if err := validatePartial(p); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return fmt.Errorf("dist: encode partial: %w", err)
-	}
-	return encodeFramed(w, partialMagic, buf.Bytes())
-}
-
-// DecodePartial reads a DACGRD1 partial from r, verifying the magic, the
-// payload digest, and the structural invariants.
-func DecodePartial(r io.Reader) (*Partial, error) {
-	payload, err := decodeFramed(r, partialMagic, ErrBadPartial)
-	if err != nil {
 		return nil, err
 	}
+	return encodeFramed(partialMagic, p)
+}
+
+// DecodePartial parses a DACGRD1 partial, verifying the magic, the payload
+// digest, and the structural invariants.
+func DecodePartial(b []byte) (*Partial, error) {
 	var p Partial
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("dist: decode partial: %w", err)
+	if err := decodeFramed(b, partialMagic, ErrBadPartial, &p); err != nil {
+		return nil, err
 	}
 	if err := validatePartial(&p); err != nil {
 		return nil, err
@@ -156,26 +178,13 @@ func validatePartial(p *Partial) error {
 	return nil
 }
 
-// encodeCtl serializes a control message in the DACCTL1 format.
-func encodeCtl(w io.Writer, c *ctl) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return fmt.Errorf("dist: encode control: %w", err)
-	}
-	return encodeFramed(w, ctlMagic, buf.Bytes())
-}
-
-// decodeCtl reads a DACCTL1 control message from r.
-func decodeCtl(r io.Reader) (*ctl, error) {
-	payload, err := decodeFramed(r, ctlMagic, ErrBadCtl)
-	if err != nil {
+// decodeCtl parses a DACCTL1 control message.
+func decodeCtl(b []byte) (*ctl, error) {
+	var c ctl
+	if err := decodeFramed(b, ctlMagic, ErrBadCtl, &c); err != nil {
 		return nil, err
 	}
-	var c ctl
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("dist: decode control: %w", err)
-	}
-	if c.Kind != "begin" && c.Kind != "complete" && c.Kind != "done" {
+	if c.Kind != "begin" && c.Kind != "complete" {
 		return nil, fmt.Errorf("dist: unknown control kind %q", c.Kind)
 	}
 	return &c, nil

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -18,11 +20,11 @@ func samplePartial() *Partial {
 
 func TestPartialCodecRoundTrip(t *testing.T) {
 	p := samplePartial()
-	var buf bytes.Buffer
-	if err := EncodePartial(&buf, p); err != nil {
+	raw, err := EncodePartial(p)
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodePartial(bytes.NewReader(buf.Bytes()))
+	got, err := DecodePartial(raw)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -42,30 +44,30 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 }
 
 func TestPartialCodecRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodePartial(&buf, samplePartial()); err != nil {
+	good, err := EncodePartial(samplePartial())
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 
 	// Flip one payload byte: the digest check must reject it before gob
 	// ever parses the bytes.
-	raw := append([]byte(nil), buf.Bytes()...)
+	raw := append([]byte(nil), good...)
 	raw[len(raw)-1] ^= 0x40
-	if _, err := DecodePartial(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+	if _, err := DecodePartial(raw); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("corrupted payload: err = %v, want digest mismatch", err)
 	}
 
-	// Wrong magic: a control artifact is not a partial.
-	var ctlBuf bytes.Buffer
-	if err := encodeCtl(&ctlBuf, &ctl{Kind: "begin", Manifest: Manifest{Token: "x"}}); err != nil {
+	// Wrong magic: a control message is not a partial.
+	ctlRaw, err := encodeFramed(ctlMagic, &ctl{Kind: "begin", Manifest: Manifest{Token: "x"}})
+	if err != nil {
 		t.Fatalf("encode ctl: %v", err)
 	}
-	if _, err := DecodePartial(bytes.NewReader(ctlBuf.Bytes())); !errors.Is(err, ErrBadPartial) {
+	if _, err := DecodePartial(ctlRaw); !errors.Is(err, ErrBadPartial) {
 		t.Fatalf("ctl bytes as partial: err = %v, want ErrBadPartial", err)
 	}
 
 	// Truncation.
-	if _, err := DecodePartial(bytes.NewReader(buf.Bytes()[:10])); err == nil {
+	if _, err := DecodePartial(good[:10]); err == nil {
 		t.Fatal("truncated stream decoded without error")
 	}
 }
@@ -77,8 +79,7 @@ func TestPartialCodecRejectsInvalid(t *testing.T) {
 		{Token: "t", Epoch: 0, Step: 0, Shard: 0, Grad: nil},
 	}
 	for i, p := range cases {
-		var buf bytes.Buffer
-		if err := EncodePartial(&buf, p); err == nil {
+		if _, err := EncodePartial(p); err == nil {
 			t.Fatalf("case %d: invalid partial encoded without error", i)
 		}
 	}
@@ -89,11 +90,11 @@ func TestCtlCodecRoundTrip(t *testing.T) {
 		Token: "run-token", Procs: 4, Shards: 4, BatchSize: 32,
 		Steps: 10, Epochs: 25, StartEpoch: 5, ParamCount: 12345,
 	}
-	var buf bytes.Buffer
-	if err := encodeCtl(&buf, &ctl{Kind: "begin", Manifest: man}); err != nil {
+	raw, err := encodeFramed(ctlMagic, &ctl{Kind: "begin", Manifest: man})
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	c, err := decodeCtl(bytes.NewReader(buf.Bytes()))
+	c, err := decodeCtl(raw)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -101,36 +102,64 @@ func TestCtlCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %+v", c)
 	}
 
-	var bad bytes.Buffer
-	if err := encodeFramed(&bad, ctlMagic, []byte("not gob")); err != nil {
+	bad, err := encodeFramed(ctlMagic, "not a ctl")
+	if err != nil {
 		t.Fatalf("encode framed: %v", err)
 	}
-	if _, err := decodeCtl(bytes.NewReader(bad.Bytes())); err == nil {
+	if _, err := decodeCtl(bad); err == nil {
 		t.Fatal("malformed ctl payload decoded without error")
 	}
-	if _, err := decodeCtl(bytes.NewReader(buf.Bytes()[:4])); err == nil {
+	if _, err := decodeCtl(raw[:4]); err == nil {
 		t.Fatal("truncated ctl decoded without error")
 	}
 }
 
-func TestMailboxKeysArePositional(t *testing.T) {
-	a := partialKey("tok", 1, 2, 3)
-	if b := partialKey("tok", 1, 2, 3); b != a {
-		t.Fatalf("same position, different keys: %s != %s", b, a)
+// The partial frame bound must hold the largest encoding a partial of the
+// manifest's sizes can have: gob spends its full 9 bytes on every float
+// here, and on every position field.
+func TestMaxPartialFrameHoldsWorstCase(t *testing.T) {
+	man := Manifest{Token: strings.Repeat("f", 64), ParamCount: 5000, Moments: 96}
+	p := &Partial{
+		Token: man.Token, Epoch: math.MaxInt64, Step: math.MaxInt64, Shard: math.MaxInt64,
+		Loss: -math.MaxFloat64,
+		Grad: make([]float64, man.ParamCount), BNMoments: make([]float64, man.Moments),
 	}
-	seen := map[string]bool{a: true}
-	for _, k := range []string{
-		partialKey("tok", 0, 2, 3),
-		partialKey("tok", 1, 0, 3),
-		partialKey("tok", 1, 2, 0),
-		partialKey("other", 1, 2, 3),
-	} {
-		if seen[k] {
-			t.Fatalf("key collision: %s", k)
+	for i := range p.Grad {
+		p.Grad[i] = -math.MaxFloat64
+	}
+	for i := range p.BNMoments {
+		p.BNMoments[i] = -math.MaxFloat64
+	}
+	raw, err := EncodePartial(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := maxPartialFrame(&man); len(raw) > max {
+		t.Fatalf("worst-case partial encodes to %d bytes, bound is %d", len(raw), max)
+	}
+}
+
+func TestFrameRoundTripAndBound(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeFrames(&buf, []byte("abc"), nil, []byte("defg")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"abc", "", "defg"} {
+		got, err := readFrame(&buf, 4)
+		if err != nil || string(got) != want {
+			t.Fatalf("readFrame = %q, %v; want %q", got, err, want)
 		}
-		seen[k] = true
 	}
-	if ctlKey("tok", "begin") == ctlKey("tok", "complete") {
-		t.Fatal("begin and complete markers share a key")
+	if _, err := readFrame(&buf, 4); err != io.EOF {
+		t.Fatalf("read past the last frame: err = %v, want io.EOF", err)
+	}
+
+	// A prefix over the bound is refused on the prefix alone: no body
+	// follows it here, so reading one would fail differently.
+	if _, err := readFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), 1<<20); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("oversize prefix: err = %v, want errFrameTooLarge", err)
+	}
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 5, 'a'}), 8); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("truncated body: err = %v, want truncated", err)
 	}
 }

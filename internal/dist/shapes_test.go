@@ -4,8 +4,8 @@ package dist_test
 // final checkpoint — parameters, batch-norm running statistics, optimizer
 // state, and epoch stats — must be byte-identical across (threads × procs)
 // execution shapes for a fixed shard count. Multi-process shapes run their
-// ranks as goroutines sharing a mailbox directory; each rank gets a private
-// compute context, exactly as separate OS processes would.
+// ranks as goroutines, each with its own session on loopback TCP and a
+// private compute context, exactly as separate OS processes would.
 
 import (
 	"bytes"
@@ -18,6 +18,7 @@ import (
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -47,13 +48,23 @@ func shapeProblem() (*tensor.Tensor, []int, func() *nn.Model) {
 	return x, y, build
 }
 
-// trainRank runs one rank of the shape and returns its encoded final
-// checkpoint. sess is nil for single-process shapes.
-func trainRank(threads, shards int, sess *dist.Session, token string) ([]byte, error) {
+// rankRun is one rank's outcome: its encoded final checkpoint, and the time
+// it spent exchanging partials over its steps.
+type rankRun struct {
+	ck       []byte
+	exchange time.Duration
+	steps    int
+}
+
+// runRank runs one rank of the shape. sess is nil for single-process
+// shapes. With timed set the trainer measures its phases; the checkpoint
+// always encodes the epoch stats with those wall times zeroed, so its
+// bytes do not depend on timing.
+func runRank(threads, shards int, sess *dist.Session, token string, timed bool) (rankRun, error) {
 	x, y, build := shapeProblem()
 	m := build()
 	opt := train.NewSGD(0.05, 0.9, 0)
-	res := train.Run(m, x, y, train.Config{
+	cfg := train.Config{
 		Epochs: shapeEpochs, BatchSize: shapeBatch,
 		Optimizer: opt, ClipNorm: 5, Seed: 23,
 		Shards: shards,
@@ -62,31 +73,58 @@ func trainRank(threads, shards int, sess *dist.Session, token string) ([]byte, e
 		// concurrently.
 		Ctx:  compute.New(threads),
 		Dist: sess, DistToken: token,
-	})
+	}
+	if timed {
+		cfg.Trace = obs.NewTracer()
+	}
+	res := train.Run(m, x, y, cfg)
 	if res.DistSkipped {
-		return nil, fmt.Errorf("run unexpectedly skipped")
+		return rankRun{}, fmt.Errorf("run unexpectedly skipped")
+	}
+	var run rankRun
+	stats := make([]train.EpochStats, len(res.Epochs))
+	for i, st := range res.Epochs {
+		run.exchange += st.Exchange
+		run.steps += st.Steps
+		st.Forward, st.Backward, st.Reg, st.Optim, st.Exchange, st.Reduce = 0, 0, 0, 0, 0, 0
+		stats[i] = st
 	}
 	var buf bytes.Buffer
-	if err := train.EncodeCheckpoint(&buf, train.Capture(m, opt, shapeEpochs, res.Epochs)); err != nil {
-		return nil, err
+	if err := train.EncodeCheckpoint(&buf, train.Capture(m, opt, shapeEpochs, stats)); err != nil {
+		return rankRun{}, err
 	}
-	return buf.Bytes(), nil
+	run.ck = buf.Bytes()
+	return run, nil
 }
 
-// trainShape runs one (threads × procs) shape to completion and returns the
-// final checkpoint bytes, first checking that every rank of the shape
-// produced identical bytes.
+// trainRank runs one untimed rank of the shape and returns its encoded
+// final checkpoint.
+func trainRank(threads, shards int, sess *dist.Session, token string) ([]byte, error) {
+	run, err := runRank(threads, shards, sess, token, false)
+	return run.ck, err
+}
+
+// trainShape runs one untimed (threads × procs) shape and returns its
+// final checkpoint bytes.
 func trainShape(t *testing.T, threads, procs int) []byte {
 	t.Helper()
+	return runShape(t, threads, procs, false).ck
+}
+
+// runShape runs one (threads × procs) shape to completion and returns rank
+// 0's outcome, first checking that every rank of the shape produced
+// identical checkpoint bytes.
+func runShape(t *testing.T, threads, procs int, timed bool) rankRun {
+	t.Helper()
 	if procs == 1 {
-		ck, err := trainRank(threads, shapeShards, nil, "")
+		run, err := runRank(threads, shapeShards, nil, "", timed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ck
+		return run
 	}
 	dir := t.TempDir()
-	outs := make([][]byte, procs)
+	runs := make([]rankRun, procs)
 	errs := make([]error, procs)
 	var wg sync.WaitGroup
 	for r := 0; r < procs; r++ {
@@ -98,15 +136,13 @@ func trainShape(t *testing.T, threads, procs int) []byte {
 					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
 				}
 			}()
-			sess, err := dist.New(dist.Options{
-				Dir: dir, Rank: r, Procs: procs,
-				Poll: time.Millisecond, Timeout: 30 * time.Second,
-			})
+			sess, err := dist.New(dist.Options{Dir: dir, Rank: r, Procs: procs, Timeout: 30 * time.Second})
 			if err != nil {
 				errs[r] = err
 				return
 			}
-			outs[r], errs[r] = trainRank(threads, shapeShards, sess, "cross-shape-run")
+			defer sess.Close()
+			runs[r], errs[r] = runRank(threads, shapeShards, sess, "cross-shape-run", timed)
 		}(r)
 	}
 	wg.Wait()
@@ -116,11 +152,11 @@ func trainShape(t *testing.T, threads, procs int) []byte {
 		}
 	}
 	for r := 1; r < procs; r++ {
-		if !bytes.Equal(outs[r], outs[0]) {
+		if !bytes.Equal(runs[r].ck, runs[0].ck) {
 			t.Fatalf("procs=%d: rank %d checkpoint differs from rank 0", procs, r)
 		}
 	}
-	return outs[0]
+	return runs[0]
 }
 
 // TestTrainBitIdenticalAcrossShapes pins the PR's acceptance criterion: for
@@ -159,16 +195,16 @@ func TestShardCountIsSemantic(t *testing.T) {
 }
 
 // TestWorkerSkipsCompletedRun covers the cache-hit handshake: when the
-// coordinator published a completion marker without a begin announcement,
-// a worker's train.Run returns DistSkipped without touching the model.
+// coordinator's verdict for a run is complete rather than begin, a
+// worker's train.Run returns DistSkipped without touching the model.
 func TestWorkerSkipsCompletedRun(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(rank int) *dist.Session {
-		s, err := dist.New(dist.Options{Dir: dir, Rank: rank, Procs: 2,
-			Poll: time.Millisecond, Timeout: 5 * time.Second})
+		s, err := dist.New(dist.Options{Dir: dir, Rank: rank, Procs: 2, Timeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 	coord, worker := mk(0), mk(1)

@@ -24,11 +24,11 @@ type CLI struct {
 	// Worker marks this process as a spawned worker joining an existing
 	// run; Dir, Rank, and ClusterProcs locate it.
 	Worker bool
-	// Coordinator joins an existing mailbox directory as rank 0 instead of
-	// self-spawning (the workers were, or will be, started by hand).
+	// Coordinator makes this process rank 0 of workers started by hand
+	// with the same Dir, instead of self-spawning them.
 	Coordinator bool
-	// Dir is the shared mailbox directory. Empty on the self-spawn path
-	// means a temporary directory, created and removed by the Fleet.
+	// Dir is the run's dist directory (see Options.Dir). Empty on the
+	// self-spawn path means a temporary one, created and removed by Fleet.
 	Dir string
 	// Rank is this process's rank (workers only).
 	Rank int
@@ -42,8 +42,8 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Procs, "procs", 1, "data-parallel training processes; >1 self-spawns procs-1 workers and coordinates them (results are bit-identical for every value)")
 	fs.IntVar(&c.Shards, "shards", 0, "gradient shards per batch, a semantic knob results depend on (0 = the process count; must be >= processes)")
 	fs.BoolVar(&c.Worker, "worker", false, "run as a data-parallel worker joining an existing run (normally set by the coordinator's self-spawn)")
-	fs.BoolVar(&c.Coordinator, "coordinator", false, "join an existing -dist-dir as the coordinator instead of self-spawning workers")
-	fs.StringVar(&c.Dir, "dist-dir", "", "shared mailbox directory for multi-process training (default: a temporary directory on the self-spawn path)")
+	fs.BoolVar(&c.Coordinator, "coordinator", false, "coordinate workers started by hand with the same -dist-dir instead of self-spawning them")
+	fs.StringVar(&c.Dir, "dist-dir", "", "directory where the coordinator leaves its address and session secret for workers to find; every rank of a run names the same one (default: a temporary directory on the self-spawn path)")
 	fs.IntVar(&c.Rank, "dist-rank", 0, "this process's rank within the run (with -worker)")
 	fs.IntVar(&c.ClusterProcs, "dist-procs", 0, "total process count of the joined run (with -worker or -coordinator)")
 }
@@ -70,71 +70,73 @@ func (c *CLI) Resolve(argv []string) (*Session, *Fleet, error) {
 		s, err := New(Options{Dir: c.Dir, Rank: 0, Procs: c.ClusterProcs})
 		return s, nil, err
 	case c.Procs > 1:
-		dir, ownsDir := c.Dir, false
-		if dir == "" {
-			var err error
-			if dir, err = os.MkdirTemp("", "dacdist-"); err != nil {
-				return nil, nil, fmt.Errorf("dist: mailbox dir: %w", err)
-			}
-			ownsDir = true
+		f := &Fleet{dir: c.Dir}
+		var err error
+		if f.dir == "" {
+			f.dir, err = os.MkdirTemp("", "dacdist-")
+			f.ownsDir = err == nil
 		}
-		s, err := New(Options{Dir: dir, Rank: 0, Procs: c.Procs})
+		if err == nil {
+			f.sess, err = New(Options{Dir: f.dir, Rank: 0, Procs: c.Procs})
+		}
+		if err == nil {
+			err = f.spawn(argv, c.Procs)
+		}
 		if err != nil {
+			f.Wait()
 			return nil, nil, err
 		}
-		fleet, err := SpawnWorkers(argv, dir, c.Procs)
-		if err != nil {
-			return nil, nil, err
-		}
-		fleet.ownsDir = ownsDir
-		return s, fleet, nil
+		return f.sess, f, nil
 	default:
 		return nil, nil, nil
 	}
 }
 
-// Fleet tracks the worker processes a coordinator spawned.
+// Fleet tracks a self-spawning coordinator's session and workers.
 type Fleet struct {
 	cmds    []*exec.Cmd
+	sess    *Session
 	dir     string
 	ownsDir bool
 }
 
-// SpawnWorkers starts procs-1 worker copies of this executable, each
-// re-running argv plus the worker flags. Worker stderr is inherited (their
-// mains keep workers quiet apart from failures); stdout is discarded.
-func SpawnWorkers(argv []string, dir string, procs int) (*Fleet, error) {
+// spawn starts procs-1 worker copies of this executable, each re-running
+// argv plus the worker flags. Worker stderr is inherited (their mains keep
+// workers quiet apart from failures); stdout is discarded.
+func (f *Fleet) spawn(argv []string, procs int) error {
 	exe, err := os.Executable()
 	if err != nil {
-		return nil, fmt.Errorf("dist: locate executable: %w", err)
+		return fmt.Errorf("dist: locate executable: %w", err)
 	}
-	f := &Fleet{dir: dir}
 	for rank := 1; rank < procs; rank++ {
 		// The worker flags go *before* the inherited argv: the flag package
 		// stops at the first positional argument (e.g. dacrepro's experiment
 		// names), so anything appended after one would never be parsed.
 		args := append([]string{
 			"-worker",
-			"-dist-dir", dir,
+			"-dist-dir", f.dir,
 			"-dist-rank", strconv.Itoa(rank),
 			"-dist-procs", strconv.Itoa(procs),
 		}, argv...)
 		cmd := exec.Command(exe, args...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			f.Wait() // reap anything already started
-			return nil, fmt.Errorf("dist: spawn worker %d: %w", rank, err)
+			return fmt.Errorf("dist: spawn worker %d: %w", rank, err)
 		}
 		f.cmds = append(f.cmds, cmd)
 	}
-	return f, nil
+	return nil
 }
 
-// Wait reaps every worker and removes the mailbox directory if the fleet
-// created it, returning the first worker failure (if any).
+// Wait closes the coordinator's session, so a worker still waiting on it
+// fails at once, then reaps every worker and removes the dist directory if
+// the fleet created it. It returns the first worker failure (if any).
 func (f *Fleet) Wait() error {
 	if f == nil {
 		return nil
+	}
+	if f.sess != nil {
+		f.sess.Close()
 	}
 	var first error
 	for i, cmd := range f.cmds {

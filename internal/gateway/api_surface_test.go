@@ -91,6 +91,25 @@ func TestOversizePredictBodyRejected(t *testing.T) {
 	}
 }
 
+// Every gateway /v1 body is bounded at api.MaxBodyBytes, not only
+// predict's: the reload and policy bodies one byte over answer the same
+// 400 bad_request envelope instead of being buffered.
+func TestOversizeAdminBodiesRejected(t *testing.T) {
+	srv := NewServer(testGateway(t, Options{}))
+	// One valid JSON object spanning the whole body, so a decode can only
+	// fail on the limit.
+	pad := api.MaxBodyBytes + 1 - len(`{"model":""}`)
+	body := `{"model":"` + strings.Repeat("a", pad) + `"}`
+	for _, path := range []string{"/v1/models/prod:reload", "/v1/admin/reload", "/v1/models/prod:policy"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		e, err := api.ParseError(rec.Body.Bytes())
+		if rec.Code != http.StatusBadRequest || err != nil || e.Code != api.CodeBadRequest || !strings.Contains(e.Message, "too large") {
+			t.Errorf("%s: status %d envelope %+v (%v), want 400 %s on the body limit", path, rec.Code, e, err, api.CodeBadRequest)
+		}
+	}
+}
+
 // TestErrorEnvelopeCarriesTraceID pins the traced variant on the gateway
 // side: a failed predict answers the envelope with its trace_id matching
 // the X-Dac-Trace header.

@@ -73,10 +73,13 @@ func (s *Server) Routes() []string {
 	return append([]string(nil), s.routes...)
 }
 
-// Handler returns the root handler.
+// Handler returns the root handler. Every request body is bounded at
+// api.MaxBodyBytes, as on the replicas; an oversize body fails its read or
+// JSON decode and answers 400.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.gw.httpRequests.Inc()
+		r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 		s.mux.ServeHTTP(w, r)
 	})
 }
@@ -96,7 +99,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.gw.finishPredict(tr, client, status, msg)
 	}
 	sp := tr.StartSpan("decode")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		sp.End()
 		fail(http.StatusBadRequest, api.CodeBadRequest, "read request body: %v", err)
@@ -299,7 +302,7 @@ func (s *Server) opReload(w http.ResponseWriter, r *http.Request, name string) {
 // fleet-wide. On a successful set the gateway also learns the model's
 // query budget and enforces it at the edge from then on.
 func (s *Server) opPolicy(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "read request body: %v", err)
 		return

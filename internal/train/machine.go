@@ -31,7 +31,7 @@ import (
 // statistics, the loss is scaled by the global batch size — and its
 // flattened gradient, loss, and batch-norm moments become that shard's
 // partial. Under a dist session each rank computes only its owned shard
-// range and exchanges partials through the mailbox; single-process runs
+// range and exchanges partials with its peers; single-process runs
 // compute every shard locally. The reduce stage is identical everywhere:
 // zero the gradients, fold the partials in ascending shard order, sum the
 // shard losses in shard order, and replay the batch-norm moment updates in
@@ -60,10 +60,6 @@ type stepMachine struct {
 	losses  []float64
 
 	ownLo, ownHi int // owned shard range [lo, hi)
-
-	// collected ring: the last two published generations, garbage
-	// collected two steps behind the live one (see CollectPartials).
-	pendingGC [][2]int
 
 	timed                                   bool
 	tForward, tBackward, tExchange, tReduce time.Duration
@@ -114,37 +110,11 @@ func newStepMachine(m *nn.Model, x *tensor.Tensor, y []int, batch, shards int, s
 	return sm
 }
 
-// close restores the batch-norm layers' inline-statistics mode and, on the
-// coordinator, sweeps the last partial generations out of the mailbox. The
-// lag-2 lockstep argument does not cover those final generations — the
-// coordinator finishing the run's last step only proves its peers have
-// *published* them, not consumed them — so workers publish a per-rank done
-// marker and the coordinator waits for all of them before sweeping. If a
-// peer never reports (it crashed after its last publish), the sweep is
-// skipped: a finished run must not fail over mailbox hygiene.
+// close restores the batch-norm layers' inline-statistics mode.
 func (sm *stepMachine) close() {
 	for _, b := range sm.bn {
 		b.DeferStats = false
 	}
-	if sm.sess == nil {
-		return
-	}
-	if sm.sess.Worker() {
-		if err := sm.sess.PublishDone(sm.token); err != nil {
-			panic(fmt.Sprintf("train: publish done marker: %v", err))
-		}
-		return
-	}
-	for r := 1; r < sm.sess.Procs(); r++ {
-		if err := sm.sess.AwaitDone(sm.token, r); err != nil {
-			sm.pendingGC = nil
-			return
-		}
-	}
-	for _, g := range sm.pendingGC {
-		sm.sess.CollectPartials(sm.token, g[0], g[1], sm.shards)
-	}
-	sm.pendingGC = nil
 }
 
 // step runs one batch through the stage machine and returns its data loss.
@@ -182,7 +152,7 @@ func (sm *stepMachine) step(epoch, step int, idx []int) float64 {
 		}
 	}
 
-	// Stage: exchange — publish owned partials, fetch the rest.
+	// Stage: exchange — send owned partials, receive the rest.
 	if sm.sess != nil {
 		var t0 time.Time
 		if sm.timed {
@@ -213,7 +183,6 @@ func (sm *stepMachine) step(epoch, step int, idx []int) float64 {
 			off += 2 * b.C
 		}
 	}
-	sm.collect(epoch, step)
 	if sm.timed {
 		sm.tReduce += time.Since(t0)
 	}
@@ -257,50 +226,23 @@ func (sm *stepMachine) captureMoments(k int) {
 	}
 }
 
-// exchange publishes the rank's owned shard partials and fetches every
-// other shard from its owning rank, blocking until all are present.
+// exchange sends the owned shard partials and copies in every other shard's.
 func (sm *stepMachine) exchange(epoch, step int) {
+	own := make([]*dist.Partial, 0, sm.ownHi-sm.ownLo)
 	for k := sm.ownLo; k < sm.ownHi; k++ {
-		err := sm.sess.PublishPartial(&dist.Partial{
+		own = append(own, &dist.Partial{
 			Token: sm.token, Epoch: epoch, Step: step, Shard: k,
 			Loss: sm.losses[k], Grad: sm.parts.Partial(k), BNMoments: sm.moments[k],
 		})
-		if err != nil {
-			panic(fmt.Sprintf("train: publish partial (epoch %d, step %d, shard %d): %v", epoch, step, k, err))
-		}
 	}
-	for k := 0; k < sm.shards; k++ {
-		if k >= sm.ownLo && k < sm.ownHi {
-			continue
-		}
-		p, err := sm.sess.FetchPartial(sm.token, epoch, step, k)
-		if err != nil {
-			panic(fmt.Sprintf("train: %v", err))
-		}
-		if len(p.Grad) != sm.parts.Size() || len(p.BNMoments) != sm.bnLen {
-			panic(fmt.Sprintf("train: partial (epoch %d, step %d, shard %d) has %d gradient / %d moment elements, want %d / %d",
-				epoch, step, k, len(p.Grad), len(p.BNMoments), sm.parts.Size(), sm.bnLen))
-		}
-		copy(sm.parts.Partial(k), p.Grad)
-		copy(sm.moments[k], p.BNMoments)
-		sm.losses[k] = p.Loss
+	peers, err := sm.sess.Exchange(own)
+	if err != nil {
+		panic(fmt.Sprintf("train: %v", err))
 	}
-}
-
-// collect garbage-collects partials two generations behind the live step.
-// Ranks run in lockstep — a step's reduce consumes every shard of that
-// step before any rank can publish the next step's partials — so when the
-// coordinator finishes generation g, every rank has consumed generation
-// g-1 at the latest; deleting g-2 is safely behind every reader.
-func (sm *stepMachine) collect(epoch, step int) {
-	if sm.sess == nil || !sm.sess.Coordinator() {
-		return
-	}
-	sm.pendingGC = append(sm.pendingGC, [2]int{epoch, step})
-	if len(sm.pendingGC) > 2 {
-		g := sm.pendingGC[0]
-		sm.pendingGC = sm.pendingGC[1:]
-		sm.sess.CollectPartials(sm.token, g[0], g[1], sm.shards)
+	for _, p := range peers {
+		copy(sm.parts.Partial(p.Shard), p.Grad)
+		copy(sm.moments[p.Shard], p.BNMoments)
+		sm.losses[p.Shard] = p.Loss
 	}
 }
 

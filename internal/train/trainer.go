@@ -69,12 +69,12 @@ type Config struct {
 	// count and ≤ BatchSize.
 	Shards int
 	// Dist, when non-nil, runs the step machine's exchange stage over the
-	// session's mailbox: this rank computes only its owned shard range and
-	// fetches the rest from its peers. All ranks of a run must pass
+	// session's connections: this rank computes only its owned shard range
+	// and receives the rest from its peers. All ranks of a run must pass
 	// configurations that agree on everything above (enforced via the
 	// coordinator's begin manifest).
 	Dist *dist.Session
-	// DistToken identifies this run in the mailbox. Every rank must derive
+	// DistToken identifies this run on the session. Every rank must derive
 	// the same token; the pipeline passes its train-stage cache key. Empty
 	// derives a token from the run's configuration.
 	DistToken string
@@ -123,7 +123,7 @@ type EpochStats struct {
 	// so the hot loop pays no clock reads by default.
 	Forward, Backward, Reg, Optim time.Duration
 	// Exchange and Reduce are the sharded path's phases: Exchange is the
-	// mailbox publish + peer-wait time (zero without a dist session) and
+	// partial send + peer-wait time (zero without a dist session) and
 	// Reduce is the shard-order gradient fold + batch-norm replay. They
 	// are accounted separately so Backward measures compute only — before
 	// the stage-machine split, everything after forward landed in
@@ -146,9 +146,9 @@ func LogTo(w io.Writer) func(EpochStats) {
 // Result summarizes a training run.
 type Result struct {
 	Epochs []EpochStats
-	// DistSkipped reports that a worker rank found the run's completion
-	// marker instead of its begin announcement: the coordinator satisfied
-	// the run from cache, nothing was trained here, and the model was left
+	// DistSkipped reports that a worker rank got the coordinator's
+	// complete verdict instead of begin: the coordinator satisfied the run
+	// from cache, nothing was trained here, and the model was left
 	// untouched. The caller (the pipeline's train stage) loads the
 	// published model state instead.
 	DistSkipped bool
@@ -226,11 +226,14 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	if token == "" && cfg.Dist != nil {
 		token = deriveToken(m, &cfg, n, shards)
 	}
+	sm := newStepMachine(m, x, y, cfg.BatchSize, shards, cfg.Dist, token)
+	defer sm.close()
 	if cfg.Dist != nil {
 		man := dist.Manifest{
 			Token: token, Procs: cfg.Dist.Procs(), Shards: shards,
 			BatchSize: cfg.BatchSize, Steps: stepsPerEpoch,
 			Epochs: cfg.Epochs, StartEpoch: start, ParamCount: m.NumParams(),
+			Moments: sm.bnLen,
 		}
 		if cfg.Dist.Worker() {
 			got, completed, err := cfg.Dist.AwaitBegin(token)
@@ -249,9 +252,6 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 			panic(fmt.Sprintf("train: %v", err))
 		}
 	}
-
-	sm := newStepMachine(m, x, y, cfg.BatchSize, shards, cfg.Dist, token)
-	defer sm.close()
 
 	for epoch := start; epoch < cfg.Epochs; epoch++ {
 		// Timing is re-checked per epoch so flipping obs.Enable mid-run
@@ -322,10 +322,10 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	return res
 }
 
-// deriveToken builds a mailbox token for runs without a pipeline cache key:
-// a digest of everything that positions the run's exchange traffic. Every
-// rank of a run derives it from the same configuration, so they meet at the
-// same mailbox keys.
+// deriveToken builds a run token for runs without a pipeline cache key: a
+// digest of everything that positions the run's exchange traffic. Every
+// rank of a run derives it from the same configuration, so their verdict
+// and partials name the same run.
 func deriveToken(m *nn.Model, cfg *Config, n, shards int) string {
 	k := artifact.NewKey("dist-token/v1").
 		Int("seed", cfg.Seed).
