@@ -21,15 +21,17 @@ race-fast:
 vet:
 	go vet ./...
 
-# Short fuzzing of the parsers that read bytes from another process: the
-# dist partial and control codecs and the session frame reader (what a
-# socket peer sends). go test -fuzz takes one target per invocation, so
+# Short fuzzing of the parsers that read bytes from another process or
+# party: the dist partial and control codecs and the session frame reader
+# (what a socket peer sends), and the release-file reader (what a data
+# holder publishes). go test -fuzz takes one target per invocation, so
 # each target gets its own line and 10 s; plain go test runs only the seed
 # corpora.
 fuzz-short:
 	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime 10s
 	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodeCtl$$' -fuzztime 10s
 	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
+	go test ./internal/modelio/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s
 
 # The end-to-end benchmark in bench/ is its own Go module, so ./... skips
 # it; this vets and tests it against the current sources (~7 s), so an API
@@ -42,12 +44,6 @@ bench-test:
 # while the *Serial twins pin one worker as the baseline.
 bench:
 	go test -run '^$$' -bench 'Conv|TrainEpoch|MatMul' -cpu 1,2,4
-
-# Serving throughput sweep (requests/sec vs MaxBatch) written to
-# BENCH_serve.json; also runs the latency micro-benchmarks.
-serve-bench:
-	go test ./internal/serve/ -run '^TestEmitServeBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_serve.json
-	go test ./internal/serve/ -run '^$$' -bench ServePredict
 
 # Blocked-vs-naive matmul kernel sweep written to BENCH_kernels.json. The
 # kernels are bit-identical by construction (the tests enforce it); this
@@ -96,4 +92,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet fuzz-short bench-test bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench
+.PHONY: check race race-fast vet fuzz-short bench-test bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench

@@ -126,9 +126,10 @@ func BenchmarkMatMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(64, 64).RandN(rng, 0, 1)
 	y := tensor.New(64, 64).RandN(rng, 0, 1)
+	dst := make([]float64, 64*64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulSlice(dst, x.Data(), y.Data(), 64, 64, 64)
 	}
 }
 

@@ -122,16 +122,6 @@ func DecodeGroup(pg PlanGroup, group nn.LayerGroup, geom [3]int, opt DecodeOptio
 	return out
 }
 
-// DecodePlan extracts every group's images, returning them in the same
-// order as Plan.AllImages (so reconstructions align with originals).
-func DecodePlan(p *Plan, groups []nn.LayerGroup, opt DecodeOptions) []*img.Image {
-	var out []*img.Image
-	for _, pg := range p.Groups {
-		out = append(out, DecodeGroup(pg, groups[pg.GroupIndex], p.ImageGeom, opt)...)
-	}
-	return out
-}
-
 func percentileOf(opt DecodeOptions) float64 {
 	if opt.Percentile <= 0 {
 		return 0

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -227,6 +228,74 @@ func TestGatewayPassiveFailureMarksDown(t *testing.T) {
 	}
 	if g.retries.Value() != before {
 		t.Fatal("routing to a passively-downed replica still retried")
+	}
+}
+
+// A replica that accepts a predict and never answers: the attempt times
+// out, counts as a passive failure and retries onto the other replica;
+// FailAfter such requests take the replica off the ring; and with every
+// replica hung the client still gets the 502 envelope, never a hang.
+func TestGatewayHungReplica(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	hung, live := newStub(t), newStub(t)
+	hung.hung.Store(true)
+	g, reps := stubGateway(t, Options{RequestTimeout: timeout, FailAfter: 2}, hung, live)
+	g.ProbeAll(context.Background())
+	model := pickStubModel(t, g, reps[0])
+	ts := gatewayServer(t, g)
+	body := []byte(fmt.Sprintf(`{"model":%q,"input":[1]}`, model))
+
+	// (a) The owner hangs; the other replica answers within one timeout.
+	start := time.Now()
+	if status, out := postPredict(t, ts.URL, body); status != http.StatusOK {
+		t.Fatalf("status %d, want 200 via retry (%s)", status, out["error"])
+	}
+	if d := time.Since(start); d > timeout+time.Second {
+		t.Fatalf("answered after %v, want within %v", d, timeout+time.Second)
+	}
+	rec := g.Traces().Snapshot().Recent[0]
+	a0, ok0 := spanByName(rec.Spans, "attempt0")
+	a1, ok1 := spanByName(rec.Spans, "attempt1")
+	if !ok0 || !ok1 || a0.Detail != reps[0].ID || a1.Detail != reps[1].ID {
+		t.Fatalf("attempt spans %+v, want attempt0 on %s and attempt1 on %s", rec.Spans, reps[0].ID, reps[1].ID)
+	}
+	reps[0].mu.Lock()
+	fails := reps[0].fails
+	reps[0].mu.Unlock()
+	if g.retries.Value() != 1 || fails != 1 || reps[0].State() != StateHealthy {
+		t.Fatalf("retries %d, passive failures %d, state %v; want 1, 1, healthy",
+			g.retries.Value(), fails, reps[0].State())
+	}
+
+	// (b) The FailAfter-th such request marks it down; the next one never
+	// dials it.
+	if status, out := postPredict(t, ts.URL, body); status != http.StatusOK {
+		t.Fatalf("second request: status %d (%s)", status, out["error"])
+	}
+	if reps[0].State() != StateDown {
+		t.Fatalf("hung replica state %v after 2 timeouts, want down", reps[0].State())
+	}
+	if status, _ := postPredict(t, ts.URL, body); status != http.StatusOK || hung.predicts.Load() != 2 {
+		t.Fatalf("third request: status %d, hung replica dialed %d times; want 200, 2", status, hung.predicts.Load())
+	}
+
+	// (c) Every replica hung: a 502 envelope within both attempts' timeouts.
+	h0, h1 := newStub(t), newStub(t)
+	h0.hung.Store(true)
+	h1.hung.Store(true)
+	g2, _ := stubGateway(t, Options{RequestTimeout: timeout}, h0, h1)
+	g2.ProbeAll(context.Background())
+	ts2 := gatewayServer(t, g2)
+	start = time.Now()
+	status, out := postPredict(t, ts2.URL, body)
+	if d := time.Since(start); d > 2*timeout+time.Second {
+		t.Fatalf("answered after %v, want within %v", d, 2*timeout+time.Second)
+	}
+	if status != http.StatusBadGateway || string(out["code"]) != `"bad_gateway"` || len(out["trace_id"]) < 3 {
+		t.Fatalf("status %d, envelope %v; want 502 bad_gateway with a trace_id", status, out)
+	}
+	if h0.predicts.Load() != 1 || h1.predicts.Load() != 1 {
+		t.Fatalf("attempt split %d/%d, want 1/1", h0.predicts.Load(), h1.predicts.Load())
 	}
 }
 

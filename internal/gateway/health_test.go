@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,10 +12,12 @@ import (
 )
 
 // stubReplica is a controllable fake dacserve: health and readiness are
-// knobs, predict answers a fixed status.
+// knobs, predict answers a fixed status or, while hung, holds the request
+// open until the caller gives up.
 type stubReplica struct {
 	healthy       atomic.Bool
 	ready         atomic.Bool
+	hung          atomic.Bool
 	predictStatus atomic.Int32
 	predicts      atomic.Int64
 	ts            *httptest.Server
@@ -43,6 +46,13 @@ func newStub(t testing.TB) *stubReplica {
 	})
 	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		s.predicts.Add(1)
+		if s.hung.Load() {
+			// Reading the body to EOF lets the server notice the caller
+			// hang up, which is what ends the request context.
+			io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			return
+		}
 		status := int(s.predictStatus.Load())
 		w.WriteHeader(status)
 		if status == http.StatusOK {

@@ -241,19 +241,6 @@ func TestSSIMSmallImageFallback(t *testing.T) {
 	}
 }
 
-func TestPSNR(t *testing.T) {
-	a := gradientImage(1, 8, 8)
-	if !math.IsInf(PSNR(a, a), 1) {
-		t.Fatal("PSNR of identical images must be +Inf")
-	}
-	b := a.Clone()
-	b.Pix[0] += 50
-	p := PSNR(a, b)
-	if p < 20 || p > 60 {
-		t.Fatalf("PSNR = %v, outside sane range", p)
-	}
-}
-
 func TestPNMRoundTripGray(t *testing.T) {
 	a := noiseImage(1, 6, 5, 10)
 	for i := range a.Pix {

@@ -101,22 +101,6 @@ func ssimWindow(a, b []float64, c1, c2 float64) float64 {
 	return num / den
 }
 
-// PSNR returns the peak signal-to-noise ratio in dB (a supplementary metric;
-// +Inf for identical images).
-func PSNR(orig, recon *Image) float64 {
-	checkSame("PSNR", orig, recon)
-	mse := 0.0
-	for i, v := range orig.Pix {
-		d := v - recon.Pix[i]
-		mse += d * d
-	}
-	mse /= float64(len(orig.Pix))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 20*math.Log10(255) - 10*math.Log10(mse)
-}
-
 func checkSame(op string, a, b *Image) {
 	if a.C != b.C || a.H != b.H || a.W != b.W {
 		panic(fmt.Sprintf("img: %s on mismatched images %dx%dx%d vs %dx%dx%d",

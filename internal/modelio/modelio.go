@@ -32,6 +32,11 @@ const magic = "DACMRM1\n"
 // ErrBadMagic reports that a stream is not a released model file.
 var ErrBadMagic = errors.New("modelio: bad magic (not a released model file)")
 
+// ErrMalformed reports a release whose contents cannot build the model it
+// describes: an impossible architecture, values that do not fit it, or a
+// parameter filled twice or not at all.
+var ErrMalformed = errors.New("modelio: malformed release")
+
 // gob numbers stream types from a process-global counter in first-use
 // order, so a ReleasedModel encoded after other gob traffic (the artifact
 // codecs, say) would carry different framing bytes than one encoded first,
@@ -118,20 +123,9 @@ func Export(m *nn.Model, arch nn.ResNetConfig, applied *quantize.Applied) (*Rele
 
 // Import reconstructs the model from a ReleasedModel.
 func Import(rm *ReleasedModel) (*nn.Model, *quantize.Applied, error) {
-	m := nn.NewResNet(rm.Arch)
-	byName := map[string]*nn.Param{}
-	for _, p := range m.Params() {
-		byName[p.Name] = p
-	}
-	for _, blob := range rm.Dense {
-		p, ok := byName[blob.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("modelio: unknown parameter %q", blob.Name)
-		}
-		if p.NumEl() != len(blob.Values) {
-			return nil, nil, fmt.Errorf("modelio: parameter %q has %d elements, file has %d", blob.Name, p.NumEl(), len(blob.Values))
-		}
-		copy(p.Value.Data(), blob.Values)
+	m, ps, err := importDense(rm)
+	if err != nil {
+		return nil, nil, err
 	}
 	var applied *quantize.Applied
 	if len(rm.Quantized) > 0 {
@@ -144,18 +138,15 @@ func Import(rm *ReleasedModel) (*nn.Model, *quantize.Applied, error) {
 				Levels:    len(qu.Levels),
 			}
 			for pi, name := range qu.ParamNames {
-				p, ok := byName[name]
-				if !ok {
-					return nil, nil, fmt.Errorf("modelio: unknown quantized parameter %q", name)
-				}
-				if p.NumEl() != len(qu.Indices[pi]) {
-					return nil, nil, fmt.Errorf("modelio: quantized parameter %q length mismatch", name)
+				p, err := ps.claim(name, len(qu.Indices[pi]))
+				if err != nil {
+					return nil, nil, err
 				}
 				assign := make([]int, len(qu.Indices[pi]))
 				vd := p.Value.Data()
 				for i, k := range qu.Indices[pi] {
 					if int(k) >= len(qu.Levels) {
-						return nil, nil, fmt.Errorf("modelio: index %d out of range for %d levels", k, len(qu.Levels))
+						return nil, nil, fmt.Errorf("%w: index %d out of range for %d levels", ErrMalformed, k, len(qu.Levels))
 					}
 					assign[i] = int(k)
 					vd[i] = qu.Levels[k]
@@ -170,6 +161,53 @@ func Import(rm *ReleasedModel) (*nn.Model, *quantize.Applied, error) {
 		return nil, nil, err
 	}
 	return m, applied, nil
+}
+
+// importDense validates rm, builds its architecture and fills the
+// full-precision parameters. The returned set resolves the quantized ones.
+func importDense(rm *ReleasedModel) (*nn.Model, paramSet, error) {
+	if err := validate(rm); err != nil {
+		return nil, paramSet{}, err
+	}
+	m := nn.NewResNet(rm.Arch)
+	ps := paramSet{byName: map[string]*nn.Param{}, filled: map[*nn.Param]bool{}}
+	for _, p := range m.Params() {
+		ps.byName[p.Name] = p
+	}
+	for _, blob := range rm.Dense {
+		p, err := ps.claim(blob.Name, len(blob.Values))
+		if err != nil {
+			return nil, paramSet{}, err
+		}
+		copy(p.Value.Data(), blob.Values)
+	}
+	return m, ps, nil
+}
+
+// paramSet indexes a freshly built model's parameters by name and records
+// which ones a release has filled, so each is filled exactly once. Since
+// validate has matched the release's value count to the architecture's,
+// filling no parameter twice also leaves none unset.
+type paramSet struct {
+	byName map[string]*nn.Param
+	filled map[*nn.Param]bool
+}
+
+// claim returns the parameter called name after checking that it holds n
+// elements and that no earlier blob filled it.
+func (ps paramSet) claim(name string, n int) (*nn.Param, error) {
+	p, ok := ps.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown parameter %q", ErrMalformed, name)
+	}
+	if p.NumEl() != n {
+		return nil, fmt.Errorf("%w: parameter %q has %d elements, file has %d", ErrMalformed, name, p.NumEl(), n)
+	}
+	if ps.filled[p] {
+		return nil, fmt.Errorf("%w: parameter %q is set twice", ErrMalformed, name)
+	}
+	ps.filled[p] = true
+	return p, nil
 }
 
 // Write serializes rm to w: the magic header followed by a gob payload.
@@ -228,33 +266,40 @@ func ReadWithDigest(r io.Reader) (*ReleasedModel, string, error) {
 }
 
 // validate checks the structural invariants a well-formed ReleasedModel
-// satisfies, so a corrupted file fails with a descriptive error instead of
-// an index panic in Import.
+// satisfies, so a corrupted or hostile file fails with an ErrMalformed
+// error instead of a panic in Import or an allocation sized by its header.
 func validate(rm *ReleasedModel) error {
+	want := rm.Arch.NumParams()
+	if want < 0 {
+		return fmt.Errorf("%w: architecture %+v cannot be built", ErrMalformed, rm.Arch)
+	}
 	for _, b := range rm.Dense {
 		n := 1
 		for _, d := range b.Shape {
 			if d <= 0 {
-				return fmt.Errorf("modelio: parameter %q has invalid shape %v", b.Name, b.Shape)
+				return fmt.Errorf("%w: parameter %q has invalid shape %v", ErrMalformed, b.Name, b.Shape)
 			}
 			n *= d
 		}
 		if len(b.Shape) == 0 || n != len(b.Values) {
-			return fmt.Errorf("modelio: parameter %q shape %v does not match %d values", b.Name, b.Shape, len(b.Values))
+			return fmt.Errorf("%w: parameter %q shape %v does not match %d values", ErrMalformed, b.Name, b.Shape, len(b.Values))
 		}
 	}
 	for _, qu := range rm.Quantized {
 		if len(qu.Levels) == 0 || len(qu.Levels) > 256 {
-			return fmt.Errorf("modelio: unit %q has %d codebook levels (want 1..256)", qu.Name, len(qu.Levels))
+			return fmt.Errorf("%w: unit %q has %d codebook levels (want 1..256)", ErrMalformed, qu.Name, len(qu.Levels))
 		}
 		if len(qu.ParamNames) != len(qu.Indices) {
-			return fmt.Errorf("modelio: unit %q has %d parameter names but %d index slices", qu.Name, len(qu.ParamNames), len(qu.Indices))
+			return fmt.Errorf("%w: unit %q has %d parameter names but %d index slices", ErrMalformed, qu.Name, len(qu.ParamNames), len(qu.Indices))
 		}
 	}
 	for _, bn := range rm.BNStats {
 		if len(bn.RunMean) != len(bn.RunVar) {
-			return fmt.Errorf("modelio: batch-norm %q has %d means but %d variances", bn.Name, len(bn.RunMean), len(bn.RunVar))
+			return fmt.Errorf("%w: batch-norm %q has %d means but %d variances", ErrMalformed, bn.Name, len(bn.RunMean), len(bn.RunVar))
 		}
+	}
+	if got := NumScalars(rm); got != want {
+		return fmt.Errorf("%w: architecture has %d parameter values, file has %d", ErrMalformed, want, got)
 	}
 	return nil
 }
@@ -390,11 +435,11 @@ func restoreBN(l nn.Layer, blobs []BNBlob) error {
 		}
 		b, ok := byName[bn.Name()]
 		if !ok {
-			firstErr = fmt.Errorf("modelio: missing batch-norm stats for %q", bn.Name())
+			firstErr = fmt.Errorf("%w: missing batch-norm stats for %q", ErrMalformed, bn.Name())
 			return
 		}
 		if len(b.RunMean) != len(bn.RunMean) {
-			firstErr = fmt.Errorf("modelio: batch-norm %q channel mismatch", bn.Name())
+			firstErr = fmt.Errorf("%w: batch-norm %q channel mismatch", ErrMalformed, bn.Name())
 			return
 		}
 		copy(bn.RunMean, b.RunMean)

@@ -3,11 +3,13 @@ package modelio
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -328,5 +330,119 @@ func TestLoadWithDigestMatchesFileHash(t *testing.T) {
 	sum := sha256.Sum256(raw)
 	if d != hex.EncodeToString(sum[:]) {
 		t.Fatalf("digest %s != file hash", d)
+	}
+}
+
+// encodeRaw serializes rm the way Write does but without validating it, so
+// a test can hand Read the bytes a hostile party would.
+func encodeRaw(t *testing.T, rm *ReleasedModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	if err := gob.NewEncoder(&buf).Encode(rm); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMalformedReleasesRejected feeds in releases an outside party could
+// write. Each must fail with ErrMalformed, never a panic. Those that the
+// record alone gives away fail in Write and Read, before Read allocates
+// anything the header sizes; the rest fail in Import and ImportNative.
+func TestMalformedReleasesRejected(t *testing.T) {
+	full := func(t *testing.T) *ReleasedModel {
+		rm, err := Export(trainedish(40), arch(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rm
+	}
+	withArch := func(edit func(a *nn.ResNetConfig)) func(*testing.T) *ReleasedModel {
+		return func(t *testing.T) *ReleasedModel {
+			rm := full(t)
+			edit(&rm.Arch)
+			return rm
+		}
+	}
+	cases := []struct {
+		name        string
+		build       func(*testing.T) *ReleasedModel
+		readRejects bool
+	}{
+		{"widths and blocks differ in length", withArch(func(a *nn.ResNetConfig) { a.Widths, a.Blocks = []int{8, 16}, []int{2} }), true},
+		{"no widths", withArch(func(a *nn.ResNetConfig) { a.Widths, a.Blocks = nil, nil }), true},
+		{"negative InC", withArch(func(a *nn.ResNetConfig) { a.InC = -1 }), true},
+		{"zero InH", withArch(func(a *nn.ResNetConfig) { a.InH = 0 }), true},
+		{"zero InW", withArch(func(a *nn.ResNetConfig) { a.InW = 0 }), true},
+		{"zero classes", withArch(func(a *nn.ResNetConfig) { a.Classes = 0 }), true},
+		{"zero width", withArch(func(a *nn.ResNetConfig) { a.Widths = []int{4, 0} }), true},
+		{"negative block count", withArch(func(a *nn.ResNetConfig) { a.Blocks = []int{1, -1} }), true},
+		{"parameter count overflows", withArch(func(a *nn.ResNetConfig) { a.Widths, a.Blocks = []int{1 << 31}, []int{1 << 40} }), true},
+		{"header claims a huge network", func(*testing.T) *ReleasedModel {
+			return &ReleasedModel{Arch: nn.ResNetConfig{InC: 1, InH: 8, InW: 8, Classes: 4, Widths: []int{16384}, Blocks: []int{1}}}
+		}, true},
+		{"classifier weight missing", func(t *testing.T) *ReleasedModel {
+			rm := full(t)
+			for i, b := range rm.Dense {
+				if b.Name == "fc.w" {
+					rm.Dense = append(rm.Dense[:i], rm.Dense[i+1:]...)
+					return rm
+				}
+			}
+			t.Fatal("no fc.w blob")
+			return nil
+		}, true},
+		{"dense parameter set twice", func(t *testing.T) *ReleasedModel {
+			// Same count, so only the names give it away: gamma is filled
+			// twice and beta never.
+			rm := full(t)
+			for i, b := range rm.Dense {
+				if b.Name == "stem.bn.beta" {
+					rm.Dense[i].Name = "stem.bn.gamma"
+				}
+			}
+			return rm
+		}, false},
+		{"quantized parameter set twice", func(t *testing.T) *ReleasedModel {
+			rm := quantizedRelease(t, 41)
+			for _, qu := range rm.Quantized {
+				for pi, name := range qu.ParamNames {
+					if name == "stage1.block0.conv2.w" {
+						qu.ParamNames[pi] = "stage1.block0.conv1.w"
+					}
+				}
+			}
+			return rm
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rm := tc.build(t)
+			raw := encodeRaw(t, rm)
+			werr := Write(io.Discard, rm)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, rerr := Read(bytes.NewReader(raw))
+			runtime.ReadMemStats(&after)
+			if tc.readRejects {
+				if !errors.Is(werr, ErrMalformed) || !errors.Is(rerr, ErrMalformed) {
+					t.Fatalf("Write: %v; Read: %v; want ErrMalformed from both", werr, rerr)
+				}
+				if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+					t.Fatalf("Read allocated %d bytes of a %d-byte file before rejecting it", n, len(raw))
+				}
+				got = rm // Import validates too, for callers that skip Read.
+			} else if werr != nil || rerr != nil {
+				t.Fatalf("Write: %v; Read: %v; want both to accept", werr, rerr)
+			}
+			if _, _, err := Import(got); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("Import: %v, want ErrMalformed", err)
+			}
+			if len(got.Quantized) > 0 {
+				if _, _, err := ImportNative(got); !errors.Is(err, ErrMalformed) {
+					t.Fatalf("ImportNative: %v, want ErrMalformed", err)
+				}
+			}
+		})
 	}
 }

@@ -98,31 +98,17 @@ func ImportNative(rm *ReleasedModel) (*nn.Model, *quantize.CodebookBackend, erro
 	if len(rm.Quantized) == 0 {
 		return nil, nil, fmt.Errorf("modelio: model has no quantized units; use Import for full-precision models")
 	}
-	m := nn.NewResNet(rm.Arch)
-	byName := map[string]*nn.Param{}
-	for _, p := range m.Params() {
-		byName[p.Name] = p
-	}
-	for _, blob := range rm.Dense {
-		p, ok := byName[blob.Name]
-		if !ok {
-			return nil, nil, fmt.Errorf("modelio: unknown parameter %q", blob.Name)
-		}
-		if p.NumEl() != len(blob.Values) {
-			return nil, nil, fmt.Errorf("modelio: parameter %q has %d elements, file has %d", blob.Name, p.NumEl(), len(blob.Values))
-		}
-		copy(p.Value.Data(), blob.Values)
+	m, ps, err := importDense(rm)
+	if err != nil {
+		return nil, nil, err
 	}
 	cb := quantize.NewCodebookBackend()
 	var covered []*nn.Param
 	for _, qu := range rm.Quantized {
 		for pi, name := range qu.ParamNames {
-			p, ok := byName[name]
-			if !ok {
-				return nil, nil, fmt.Errorf("modelio: unknown quantized parameter %q", name)
-			}
-			if p.NumEl() != len(qu.Indices[pi]) {
-				return nil, nil, fmt.Errorf("modelio: quantized parameter %q length mismatch", name)
+			p, err := ps.claim(name, len(qu.Indices[pi]))
+			if err != nil {
+				return nil, nil, err
 			}
 			if !p.Weight {
 				return nil, nil, fmt.Errorf("modelio: quantized parameter %q is not a weight; codebook-native eval covers weights only", name)

@@ -8,16 +8,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/quantize"
 )
 
-func quantizedRelease(t *testing.T, seed int64) *ReleasedModel {
-	t.Helper()
+func quantizedRelease(tb testing.TB, seed int64) *ReleasedModel {
+	tb.Helper()
 	m := trainedish(seed)
 	a := quantize.QuantizeModel(m, quantize.WeightedEntropy{}, 16)
 	rm, err := Export(m, arch(), a)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return rm
 }
@@ -176,5 +177,18 @@ func TestNumScalarsMatchesImportedModel(t *testing.T) {
 	}
 	if NumScalars(rm) != m.NumParams() {
 		t.Fatalf("NumScalars %d, imported model has %d", NumScalars(rm), m.NumParams())
+	}
+	// The architecture prices itself without building: stages of one and
+	// several blocks, equal widths across a stride-2 stage (which still
+	// projects), a single stage.
+	for _, cfg := range []nn.ResNetConfig{
+		arch(),
+		nn.DefaultCIFARConfig(3, 10),
+		{InC: 1, InH: 12, InW: 12, Classes: 10, Widths: []int{4, 4, 8}, Blocks: []int{1, 2, 3}},
+		{InC: 2, InH: 5, InW: 7, Classes: 3, Widths: []int{5}, Blocks: []int{3}},
+	} {
+		if got, want := cfg.NumParams(), nn.NewResNet(cfg).NumParams(); got != want {
+			t.Fatalf("%+v: NumParams %d, built model has %d", cfg, got, want)
+		}
 	}
 }

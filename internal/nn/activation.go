@@ -59,59 +59,3 @@ func (r *ReLU) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
-
-// LeakyReLU applies x for x>0 and alpha*x otherwise.
-type LeakyReLU struct {
-	name  string
-	Alpha float64
-	mask  []bool
-}
-
-// NewLeakyReLU creates a leaky ReLU with the given negative slope.
-func NewLeakyReLU(name string, alpha float64) *LeakyReLU {
-	return &LeakyReLU{name: name, Alpha: alpha}
-}
-
-// Name implements Layer.
-func (r *LeakyReLU) Name() string { return r.name }
-
-// Forward implements Layer.
-func (r *LeakyReLU) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	if train {
-		if cap(r.mask) < len(d) {
-			r.mask = make([]bool, len(d))
-		}
-		r.mask = r.mask[:len(d)]
-	}
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := d[i] > 0
-			if !pos {
-				d[i] *= r.Alpha
-			}
-			if train {
-				r.mask[i] = pos
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Layer.
-func (r *LeakyReLU) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	d := out.Data()
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !r.mask[i] {
-				d[i] *= r.Alpha
-			}
-		}
-	})
-	return out
-}
-
-// Params implements Layer.
-func (r *LeakyReLU) Params() []*Param { return nil }

@@ -46,8 +46,6 @@ func (DenseFloat) Weights(p *Param) tensor.Weights {
 type WeightBound interface {
 	// BindWeights replaces the layer's eval weight view with one from b.
 	BindWeights(b WeightsBackend)
-	// BoundWeights returns the currently bound eval view.
-	BoundWeights() tensor.Weights
 }
 
 // SetWeightsBackend rebinds every weight-bound layer's eval view to the
@@ -58,19 +56,6 @@ func (m *Model) SetWeightsBackend(b WeightsBackend) {
 			wb.BindWeights(b)
 		}
 	})
-}
-
-// EvalWeightBytes sums the resident bytes of every bound eval weight view —
-// the number that shrinks when a codebook backend replaces dense float
-// views (1 byte per element plus the lookup table, vs 8 per element).
-func (m *Model) EvalWeightBytes() int {
-	n := 0
-	Walk(m.Net, func(l Layer) {
-		if wb, ok := l.(WeightBound); ok {
-			n += wb.BoundWeights().Bytes()
-		}
-	})
-	return n
 }
 
 // requireDenseForTrain is the guard every weight-bound layer calls on a

@@ -44,9 +44,6 @@ func NewConv2D(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.R
 // BindWeights implements WeightBound.
 func (c *Conv2D) BindWeights(b WeightsBackend) { c.wview = b.Weights(c.W) }
 
-// BoundWeights implements WeightBound.
-func (c *Conv2D) BoundWeights() tensor.Weights { return c.wview }
-
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
 

@@ -37,9 +37,6 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 // BindWeights implements WeightBound.
 func (d *Dense) BindWeights(b WeightsBackend) { d.wview = b.Weights(d.W) }
 
-// BoundWeights implements WeightBound.
-func (d *Dense) BoundWeights() tensor.Weights { return d.wview }
-
 // Name implements Layer.
 func (d *Dense) Name() string { return d.name }
 

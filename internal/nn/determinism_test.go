@@ -97,9 +97,6 @@ func TestLayerGradsBitIdenticalAcrossThreadCounts(t *testing.T) {
 		{"batchnorm", func() Layer {
 			return NewBatchNorm2D("bn", 5)
 		}, []int{9, 5, 3, 3}},
-		{"maxpool", func() Layer {
-			return NewMaxPool2D("mp", 2, 6, 6, 2)
-		}, []int{9, 2, 6, 6}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -138,14 +138,6 @@ func TestReLUGradients(t *testing.T) {
 	checkLayerGradients(t, NewReLU("r"), []int{4, 9}, 23, 1e-5)
 }
 
-func TestLeakyReLUGradients(t *testing.T) {
-	checkLayerGradients(t, NewLeakyReLU("lr", 0.1), []int{4, 9}, 24, 1e-5)
-}
-
-func TestMaxPoolGradients(t *testing.T) {
-	checkLayerGradients(t, NewMaxPool2D("mp", 2, 4, 4, 2), []int{3, 2, 4, 4}, 25, 1e-5)
-}
-
 func TestGlobalAvgPoolGradients(t *testing.T) {
 	checkLayerGradients(t, NewGlobalAvgPool("gap", 3, 4, 4), []int{2, 3, 4, 4}, 26, 1e-5)
 }

@@ -67,30 +67,3 @@ func SoftmaxCrossEntropyTotal(logits *tensor.Tensor, labels []int, total int) (l
 	}
 	return loss * invN, grad
 }
-
-// Softmax returns the row-wise softmax of logits (N, K).
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, k)
-	ld, od := logits.Data(), out.Data()
-	for i := 0; i < n; i++ {
-		row := ld[i*k : (i+1)*k]
-		orow := od[i*k : (i+1)*k]
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - maxV)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}

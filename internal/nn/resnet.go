@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -33,19 +34,6 @@ func DefaultCIFARConfig(channels, classes int) ResNetConfig {
 		Widths:  []int{8, 16, 32},
 		Blocks:  []int{2, 2, 2},
 		Seed:    1,
-	}
-}
-
-// DefaultFaceConfig returns the MiniResNet used for the face-recognition
-// experiments: wider final stage (more payload capacity) on 24×24 gray
-// crops with many identity classes.
-func DefaultFaceConfig(classes int) ResNetConfig {
-	return ResNetConfig{
-		InC: 1, InH: 24, InW: 24,
-		Classes: classes,
-		Widths:  []int{8, 16, 40},
-		Blocks:  []int{2, 2, 2},
-		Seed:    2,
 	}
 }
 
@@ -94,6 +82,67 @@ func NewResNet(cfg ResNetConfig) *Model {
 	seq.Add(fc)
 
 	return NewModel(seq, cfg.Classes, []int{cfg.InC, cfg.InH, cfg.InW})
+}
+
+// NumParams returns the number of scalar parameters NewResNet(cfg) builds,
+// without building anything, so a release header can be checked against
+// the values it carries before a single weight is allocated. It returns -1
+// if NewResNet cannot build cfg (a non-positive size, empty or mismatched
+// stage lists) or the count overflows an int.
+func (cfg ResNetConfig) NumParams() int {
+	if cfg.InC <= 0 || cfg.InH <= 0 || cfg.InW <= 0 || cfg.Classes <= 0 ||
+		len(cfg.Widths) == 0 || len(cfg.Widths) != len(cfg.Blocks) {
+		return -1
+	}
+	n := 0
+	add := func(factors ...int) { n = mulAdd(n, factors...) }
+	// times convolutions in→out with k×k kernels (weights and bias), and
+	// times batch norms over c channels (gamma and beta).
+	conv := func(times, in, out, k int) { add(times, out, in, k, k); add(times, out) }
+	bn := func(times, c int) { add(times, 2, c) }
+
+	conv(1, cfg.InC, cfg.Widths[0], 3) // stem
+	bn(1, cfg.Widths[0])
+	c := cfg.Widths[0]
+	for si, w := range cfg.Widths {
+		b := cfg.Blocks[si]
+		if w <= 0 || b <= 0 {
+			return -1
+		}
+		conv(1, c, w, 3)   // block 0's conv1 maps c→w
+		conv(b-1, w, w, 3) // conv1 of blocks 1..b-1
+		conv(b, w, w, 3)   // every block's conv2
+		bn(b, w)           // every block's bn1
+		bn(b, w)           // every block's bn2
+		if si > 0 {
+			// Block 0 of a stride-2 stage projects its shortcut.
+			conv(1, c, w, 1)
+			bn(1, w)
+		}
+		c = w
+	}
+	add(cfg.Classes, c) // classifier weights
+	add(cfg.Classes)    // classifier bias
+	return n
+}
+
+// mulAdd returns n plus the product of factors (all non-negative), or -1
+// if n is already -1 or the result overflows an int.
+func mulAdd(n int, factors ...int) int {
+	if n < 0 {
+		return -1
+	}
+	p := 1
+	for _, f := range factors {
+		if f != 0 && p > math.MaxInt/f {
+			return -1
+		}
+		p *= f
+	}
+	if p > math.MaxInt-n {
+		return -1
+	}
+	return n + p
 }
 
 // NewMLP builds a small fully connected classifier (used by fast unit tests

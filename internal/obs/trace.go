@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Request-scoped distributed tracing. Where the Tracer in span.go
@@ -138,13 +139,19 @@ func ParseTimings(v string) []Timing {
 }
 
 // ClientFrom derives the accounting client ID for a request: the
-// X-Dac-Client header value when present (truncated to 64 characters so a
-// hostile header cannot bloat metric names), else the host part of the
-// remote address, else "unknown".
+// X-Dac-Client header value when present, else the host part of the remote
+// address, else "unknown". The header becomes a metric label, so it is made
+// valid UTF-8 and cut on a rune boundary to at most 64 bytes: a hostile
+// header can neither bloat metric names nor break the exposition format.
 func ClientFrom(header, remoteAddr string) string {
 	if header != "" {
+		header = strings.ToValidUTF8(header, "\uFFFD")
 		if len(header) > 64 {
-			header = header[:64]
+			cut := 64
+			for !utf8.RuneStart(header[cut]) {
+				cut--
+			}
+			header = header[:cut]
 		}
 		return header
 	}

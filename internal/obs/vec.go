@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -103,7 +103,11 @@ func (v *HistogramVec) Get(value string) *Histogram {
 func (v *HistogramVec) Observe(value string, x float64) { v.Get(value).Observe(x) }
 
 // seriesName renders name{label="value"} — the label syntax the exposition
-// layer splits back apart.
+// layer splits back apart. The value is escaped by the Prometheus text
+// format's rules, which know only \\, \" and \n: Go's %q would also emit
+// \t or \x.. escapes that make every scrape fail to parse.
 func seriesName(name, label, value string) string {
-	return fmt.Sprintf("%s{%s=%q}", name, label, value)
+	return name + "{" + label + `="` + labelEscaper.Replace(value) + `"}`
 }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestCounterVecCardinalityCap(t *testing.T) {
@@ -75,4 +77,89 @@ func TestCounterVecConcurrent(t *testing.T) {
 	if total != 400 {
 		t.Fatalf("total across series = %d, want 400", total)
 	}
+}
+
+// TestClientLabelsExposeAsValidPrometheus passes client IDs a hostile
+// X-Dac-Client header can carry through ClientFrom into a counter vec. Every
+// exposition line must be valid UTF-8 and use only the text format's \\,
+// \" and \n escapes, and each label must unescape to its ClientFrom value.
+func TestClientLabelsExposeAsValidPrometheus(t *testing.T) {
+	headers := []string{
+		"tab\there",
+		`say "hi"`,
+		`back\slash`,
+		"line\nfeed",
+		"Zoë 客户",
+		strings.Repeat("a", 63) + "é", // the 64-byte cut falls inside é
+		"raw\xffbyte",
+	}
+	reg := NewRegistry()
+	v := NewCounterVec(reg, "c_total", "client", 0)
+	want := map[string]bool{}
+	for _, h := range headers {
+		id := ClientFrom(h, "")
+		if !utf8.ValidString(id) || len(id) > 64 {
+			t.Fatalf("ClientFrom(%q) = %q, want valid UTF-8 of at most 64 bytes", h, id)
+		}
+		want[id] = true
+		v.Get(id).Inc()
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if !utf8.ValidString(line) {
+			t.Fatalf("line %q is not valid UTF-8", line)
+		}
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		rest, ok1 := strings.CutPrefix(line, `c_total{client="`)
+		value, ok2 := strings.CutSuffix(rest, `"} 1`)
+		if !ok1 || !ok2 {
+			t.Fatalf("line %q is not a c_total client series", line)
+		}
+		id, err := unescapeLabel(value)
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		got[id] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("exposed %d client series, want %d", len(got), len(want))
+	}
+	for id := range want {
+		if !got[id] {
+			t.Fatalf("client %q not exposed", id)
+		}
+	}
+}
+
+// unescapeLabel reverses the text format's label-value escaping and fails
+// on any other escape and on a bare quote or newline.
+func unescapeLabel(s string) (string, error) {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\n':
+			return "", fmt.Errorf("unescaped %q at byte %d", c, i)
+		case '\\':
+			if i++; i == len(s) {
+				return "", fmt.Errorf("trailing backslash")
+			}
+			switch s[i] {
+			case '\\', '"':
+				b.WriteByte(s[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				return "", fmt.Errorf("illegal escape \\%c", s[i])
+			}
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String(), nil
 }

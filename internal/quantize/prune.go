@@ -13,20 +13,9 @@ import (
 // substrate and as an extension experiment — how much of the encoded
 // payload survives pruning (see BenchmarkAblationPruning).
 
-// PruneMask records which elements of each parameter were zeroed.
-type PruneMask struct {
-	// Params are the pruned parameters.
-	Params []*nn.Param
-	// Kept holds, parallel to Params, a keep-flag per element.
-	Kept [][]bool
-	// Sparsity is the achieved fraction of zeroed weights.
-	Sparsity float64
-}
-
 // PruneMagnitude zeroes the fraction `sparsity` of the smallest-magnitude
-// weights across params (global threshold, the deep-compression strategy)
-// and returns the mask.
-func PruneMagnitude(params []*nn.Param, sparsity float64) *PruneMask {
+// weights across params (global threshold, the deep-compression strategy).
+func PruneMagnitude(params []*nn.Param, sparsity float64) {
 	if sparsity < 0 || sparsity >= 1 {
 		panic("quantize: sparsity must be in [0, 1)")
 	}
@@ -37,59 +26,19 @@ func PruneMagnitude(params []*nn.Param, sparsity float64) *PruneMask {
 		}
 	}
 	sort.Float64s(all)
+	k := int(sparsity * float64(len(all)))
 	cut := 0.0
-	if k := int(sparsity * float64(len(all))); k > 0 {
+	if k > 0 {
 		cut = all[k-1]
 	}
-	mask := &PruneMask{}
 	zeroed := 0
-	total := 0
 	for _, p := range params {
 		vd := p.Value.Data()
-		kept := make([]bool, len(vd))
 		for i, v := range vd {
-			if math.Abs(v) <= cut && zeroed < int(sparsity*float64(len(all))) {
+			if math.Abs(v) <= cut && zeroed < k {
 				vd[i] = 0
 				zeroed++
-			} else {
-				kept[i] = true
-			}
-		}
-		total += len(vd)
-		mask.Params = append(mask.Params, p)
-		mask.Kept = append(mask.Kept, kept)
-	}
-	if total > 0 {
-		mask.Sparsity = float64(zeroed) / float64(total)
-	}
-	return mask
-}
-
-// Reapply zeroes the masked elements again (used after fine-tuning steps so
-// pruned connections stay dead).
-func (m *PruneMask) Reapply() {
-	for pi, p := range m.Params {
-		vd := p.Value.Data()
-		for i, keep := range m.Kept[pi] {
-			if !keep {
-				vd[i] = 0
 			}
 		}
 	}
 }
-
-// MaskGrads zeroes the gradients of pruned elements, freezing them during
-// fine-tuning.
-func (m *PruneMask) MaskGrads() {
-	for pi, p := range m.Params {
-		gd := p.Grad.Data()
-		for i, keep := range m.Kept[pi] {
-			if !keep {
-				gd[i] = 0
-			}
-		}
-	}
-}
-
-// NonZeroFraction reports the fraction of surviving weights.
-func (m *PruneMask) NonZeroFraction() float64 { return 1 - m.Sparsity }

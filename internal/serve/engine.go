@@ -254,8 +254,8 @@ func argmax(v []float64) int {
 	return best
 }
 
-// softmax matches nn.Softmax's stable formulation (max subtraction) so
-// served probabilities are bit-identical to offline ones.
+// softmax returns the probabilities of one row of logits, subtracting the
+// largest logit first so math.Exp cannot overflow.
 func softmax(logits []float64) []float64 {
 	out := make([]float64, len(logits))
 	maxV := math.Inf(-1)

@@ -53,8 +53,9 @@ func writeQuantBenchModel(tb testing.TB) string {
 	return path
 }
 
-// quantThroughput is throughput() with an explicit load mode, returning the
-// entry's resident model bytes alongside req/s.
+// quantThroughput drives total requests through a model loaded in the given
+// mode from `clients` goroutines and returns requests/sec, the mean batch
+// size the engine settled on, and the entry's resident model bytes.
 func quantThroughput(tb testing.TB, path string, mode LoadMode, maxBatch, clients, total int) (reqPerSec, meanBatch float64, resident int) {
 	tb.Helper()
 	r := NewRegistry(Options{

@@ -49,53 +49,6 @@ func NewHistogram(values []float64, bins int, lo, hi float64) Histogram {
 	return h
 }
 
-// AutoHistogram builds a histogram spanning the data's own min/max (with a
-// tiny margin so the max lands inside the last bucket).
-func AutoHistogram(values []float64, bins int) Histogram {
-	if len(values) == 0 {
-		return NewHistogram(values, bins, 0, 1)
-	}
-	lo, hi := values[0], values[0]
-	for _, v := range values {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1e-9
-	}
-	return NewHistogram(values, bins, lo, hi)
-}
-
-// BucketCenters returns the midpoints of each bucket.
-func (h Histogram) BucketCenters() []float64 {
-	out := make([]float64, len(h.Freq))
-	w := (h.Hi - h.Lo) / float64(len(h.Freq))
-	for i := range out {
-		out[i] = h.Lo + (float64(i)+0.5)*w
-	}
-	return out
-}
-
-// KLDivergence returns D_KL(p || q) over two frequency vectors of equal
-// length, with epsilon smoothing so empty buckets do not produce infinities.
-func KLDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("stats: KL length mismatch %d vs %d", len(p), len(q)))
-	}
-	const eps = 1e-10
-	d := 0.0
-	for i := range p {
-		pi := p[i] + eps
-		qi := q[i] + eps
-		d += pi * math.Log(pi/qi)
-	}
-	return d
-}
-
 // TotalVariation returns ½·Σ|p−q|, in [0, 1] for normalized inputs.
 func TotalVariation(p, q []float64) float64 {
 	if len(p) != len(q) {
@@ -106,38 +59,6 @@ func TotalVariation(p, q []float64) float64 {
 		s += math.Abs(p[i] - q[i])
 	}
 	return s / 2
-}
-
-// Wasserstein1 returns the 1-Wasserstein (earth mover's) distance between
-// two empirical samples, computed exactly via sorted quantile coupling.
-func Wasserstein1(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		panic("stats: Wasserstein1 of empty sample")
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	// Integrate |F_a^{-1}(t) − F_b^{-1}(t)| over t with a grid fine
-	// enough for both samples.
-	n := len(as) * len(bs)
-	if n > 1<<20 {
-		n = 1 << 20
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		t := (float64(i) + 0.5) / float64(n)
-		s += math.Abs(quantile(as, t) - quantile(bs, t))
-	}
-	return s / float64(n)
-}
-
-func quantile(sorted []float64, t float64) float64 {
-	idx := int(t * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Summary holds the basic moments of a sample.

@@ -31,32 +31,6 @@ import "fmt"
 // accumulators in registers, but must not split a k-chain into partial sums
 // that are combined afterwards. TestBlockedKernelsBitIdentical pins this.
 
-// MatMul returns a new (m×n) tensor holding the product of a (m×k) and
-// b (k×n). Both inputs must be 2-D.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v x %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matmulBlocked(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
-// MatMulInto computes dst = a·b, reusing dst's storage. dst must be m×n.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %v = %v x %v", dst.shape, a.shape, b.shape))
-	}
-	matmulBlocked(dst.data, a.data, b.data, m, k, n)
-}
-
 // matmulNaive is the ikj-ordered reference kernel for dst = a·b:
 // cache-friendly row streaming over b, zero a-terms skipped.
 func matmulNaive(dst, a, b []float64, m, k, n int) {
@@ -79,22 +53,6 @@ func matmulNaive(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-// MatMulT returns a·bᵀ for a (m×k) and b (n×k), producing (m×n). This is the
-// backward-pass primitive for dense layers.
-func MatMulT(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulT needs 2-D operands, got %v x %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matmulTBlocked(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
 // matmulTNaive is the reference kernel for dst = a·bᵀ: one dot product per
 // output element, no zero skipping.
 func matmulTNaive(dst, a, b []float64, m, k, n int) {
@@ -111,22 +69,6 @@ func matmulTNaive(dst, a, b []float64, m, k, n int) {
 			drow[j] = s
 		}
 	}
-}
-
-// TMatMul returns aᵀ·b for a (k×m) and b (k×n), producing (m×n). This is the
-// weight-gradient primitive for dense layers.
-func TMatMul(a, b *Tensor) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: TMatMul needs 2-D operands, got %v x %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	tmatmulBlocked(out.data, a.data, b.data, k, m, n)
-	return out
 }
 
 // tmatmulNaive is the reference kernel for dst = aᵀ·b: k-major streaming
@@ -151,8 +93,8 @@ func tmatmulNaive(dst, a, b []float64, k, m, n int) {
 	}
 }
 
-// The *Slice variants below run the same kernels over raw row-major slices.
-// They exist for the parallel layer paths, which shard batches into
+// The *Slice entry points below run the blocked kernels over raw row-major
+// slices. They serve the parallel layer paths, which shard batches into
 // sub-slices of shared storage and cannot afford a header allocation per
 // sample. Each validates lengths, so a mis-sliced call fails loudly instead
 // of corrupting a neighbouring sample's rows.
@@ -183,19 +125,4 @@ func MatMulTSlice(dst, a, b []float64, m, k, n int) {
 func TMatMulSlice(dst, a, b []float64, k, m, n int) {
 	checkSlices("TMatMulSlice", dst, a, b, m*n, k*m, k*n)
 	tmatmulBlocked(dst, a, b, k, m, n)
-}
-
-// Transpose returns a new tensor holding the transpose of the 2-D tensor t.
-func Transpose(t *Tensor) *Tensor {
-	if t.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose needs a 2-D tensor, got %v", t.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = t.data[i*n+j]
-		}
-	}
-	return out
 }

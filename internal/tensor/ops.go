@@ -23,15 +23,6 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	return t
 }
 
-// Mul computes t *= o elementwise (Hadamard product).
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	checkSameLen("Mul", t, o)
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // Scale multiplies every element by a.
 func (t *Tensor) Scale(a float64) *Tensor {
 	for i := range t.data {

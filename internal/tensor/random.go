@@ -30,15 +30,3 @@ func (t *Tensor) KaimingNormal(rng *rand.Rand, fanIn int) *Tensor {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	return t.RandN(rng, 0, std)
 }
-
-// XavierUniform fills t with Glorot-uniform initialization.
-func (t *Tensor) XavierUniform(rng *rand.Rand, fanIn, fanOut int) *Tensor {
-	if fanIn <= 0 {
-		fanIn = 1
-	}
-	if fanOut <= 0 {
-		fanOut = 1
-	}
-	lim := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return t.RandU(rng, -lim, lim)
-}

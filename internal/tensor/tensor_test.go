@@ -118,14 +118,12 @@ func TestAddSubMulScale(t *testing.T) {
 	wantEq(t, x.Data(), []float64{5, 7, 9})
 	x.Sub(y)
 	wantEq(t, x.Data(), []float64{1, 2, 3})
-	x.Mul(y)
-	wantEq(t, x.Data(), []float64{4, 10, 18})
 	x.Scale(0.5)
-	wantEq(t, x.Data(), []float64{2, 5, 9})
+	wantEq(t, x.Data(), []float64{0.5, 1, 1.5})
 	x.AddScaled(2, y)
-	wantEq(t, x.Data(), []float64{10, 15, 21})
+	wantEq(t, x.Data(), []float64{8.5, 11, 13.5})
 	x.AddScalar(-10)
-	wantEq(t, x.Data(), []float64{0, 5, 11})
+	wantEq(t, x.Data(), []float64{-1.5, 1, 3.5})
 }
 
 func TestReductions(t *testing.T) {
@@ -184,11 +182,28 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
+// mm returns the (m×n) product a·b through MatMulSlice.
+func mm(a, b []float64, m, k, n int) []float64 {
+	dst := make([]float64, m*n)
+	MatMulSlice(dst, a, b, m, k, n)
+	return dst
+}
+
+// transpose returns the (n×m) transpose of the row-major (m×n) matrix a.
+func transpose(a []float64, m, n int) []float64 {
+	out := make([]float64, len(a))
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out[j*m+i] = a[i*n+j]
+		}
+	}
+	return out
+}
+
 func TestMatMulSmall(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
-	wantEq(t, c.Data(), []float64{58, 64, 139, 154})
+	a := []float64{1, 2, 3, 4, 5, 6}
+	b := []float64{7, 8, 9, 10, 11, 12}
+	wantEq(t, mm(a, b, 2, 3, 2), []float64{58, 64, 139, 154})
 }
 
 func TestMatMulIdentity(t *testing.T) {
@@ -198,57 +213,41 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(1, i, i)
 	}
-	c := MatMul(a, id)
-	wantClose(t, c.Data(), a.Data(), 1e-12)
+	wantClose(t, mm(a.Data(), id.Data(), 4, 4, 4), a.Data(), 1e-12)
 }
 
 func TestMatMulShapeMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "matmul mismatch")
-	MatMul(New(2, 3), New(2, 3))
+	// A 2×3 right operand where the shape calls for 3×3.
+	MatMulSlice(make([]float64, 6), make([]float64, 6), make([]float64, 6), 2, 3, 3)
 }
 
 func TestMatMulTAndTMatMulAgreeWithTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := New(3, 5).RandN(rng, 0, 1)
-	b := New(4, 5).RandN(rng, 0, 1)
-	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
-	wantClose(t, got.Data(), want.Data(), 1e-12)
+	a := New(3, 5).RandN(rng, 0, 1).Data()
+	b := New(4, 5).RandN(rng, 0, 1).Data()
+	got := make([]float64, 3*4)
+	MatMulTSlice(got, a, b, 3, 5, 4)
+	wantClose(t, got, mm(a, transpose(b, 4, 5), 3, 5, 4), 1e-12)
 
-	c := New(5, 3).RandN(rng, 0, 1)
-	d := New(5, 4).RandN(rng, 0, 1)
-	got2 := TMatMul(c, d)
-	want2 := MatMul(Transpose(c), d)
-	wantClose(t, got2.Data(), want2.Data(), 1e-12)
-}
-
-func TestMatMulIntoReuses(t *testing.T) {
-	a := FromSlice([]float64{1, 0, 0, 1}, 2, 2)
-	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	dst := New(2, 2)
-	dst.Fill(99)
-	MatMulInto(dst, a, b)
-	wantEq(t, dst.Data(), []float64{5, 6, 7, 8})
-}
-
-func TestTransposeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := New(3, 7).RandN(rng, 0, 1)
-	b := Transpose(Transpose(a))
-	wantClose(t, a.Data(), b.Data(), 0)
+	c := New(5, 3).RandN(rng, 0, 1).Data()
+	d := New(5, 4).RandN(rng, 0, 1).Data()
+	got2 := make([]float64, 3*4)
+	TMatMulSlice(got2, c, d, 5, 3, 4)
+	wantClose(t, got2, mm(transpose(c, 5, 3), d, 3, 5, 4), 1e-12)
 }
 
 // Property: matmul distributes over addition: A(B+C) = AB + AC.
 func TestMatMulDistributiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := New(3, 4).RandN(rng, 0, 1)
+		a := New(3, 4).RandN(rng, 0, 1).Data()
 		b := New(4, 2).RandN(rng, 0, 1)
 		c := New(4, 2).RandN(rng, 0, 1)
-		left := MatMul(a, b.Clone().Add(c))
-		right := MatMul(a, b).Add(MatMul(a, c))
-		for i := range left.Data() {
-			if math.Abs(left.Data()[i]-right.Data()[i]) > 1e-9 {
+		left := mm(a, b.Clone().Add(c).Data(), 3, 4, 2)
+		ab, ac := mm(a, b.Data(), 3, 4, 2), mm(a, c.Data(), 3, 4, 2)
+		for i := range left {
+			if math.Abs(left[i]-(ab[i]+ac[i])) > 1e-9 {
 				return false
 			}
 		}

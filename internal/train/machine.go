@@ -85,17 +85,10 @@ func newStepMachine(m *nn.Model, x *tensor.Tensor, y []int, batch, shards int, s
 		return sm
 	}
 	nn.Walk(m.Net, func(l nn.Layer) {
-		switch t := l.(type) {
-		case *nn.BatchNorm2D:
-			t.DeferStats = true
-			sm.bn = append(sm.bn, t)
-			sm.bnLen += 2 * t.C
-		case *nn.Dropout:
-			// Dropout draws its mask from one sequential RNG stream in
-			// element order; a rank that skips other ranks' shards would
-			// desynchronize the stream. No current architecture trains
-			// with Dropout, so refuse loudly rather than diverge quietly.
-			panic("train: sharded/multi-process training is incompatible with Dropout's sequential RNG stream")
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			bn.DeferStats = true
+			sm.bn = append(sm.bn, bn)
+			sm.bnLen += 2 * bn.C
 		}
 	})
 	sm.parts = compute.NewPartialSet(shards, m.NumParams())

@@ -245,14 +245,3 @@ func StepDecay(base float64, every int, factor float64) func(epoch int) float64 
 		return base * math.Pow(factor, float64(epoch/every))
 	}
 }
-
-// CosineDecay returns a schedule that anneals the LR from base to floor over
-// total epochs following a half cosine.
-func CosineDecay(base, floor float64, total int) func(epoch int) float64 {
-	return func(epoch int) float64 {
-		if total <= 0 || epoch >= total {
-			return floor
-		}
-		return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*float64(epoch)/float64(total)))
-	}
-}

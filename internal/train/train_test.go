@@ -120,19 +120,6 @@ func TestStepDecaySchedule(t *testing.T) {
 	}
 }
 
-func TestCosineDecaySchedule(t *testing.T) {
-	s := CosineDecay(1.0, 0.1, 100)
-	if math.Abs(s(0)-1.0) > 1e-12 {
-		t.Fatalf("cosine start = %v", s(0))
-	}
-	if s(100) != 0.1 || s(150) != 0.1 {
-		t.Fatal("cosine floor not respected")
-	}
-	if !(s(25) > s(50) && s(50) > s(75)) {
-		t.Fatal("cosine not monotone decreasing")
-	}
-}
-
 func TestScheduleAppliedDuringRun(t *testing.T) {
 	x, y := twoBlobs(64, 5)
 	m := nn.NewMLP("m", 2, nil, 2, 11)
