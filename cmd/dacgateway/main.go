@@ -30,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -96,7 +95,7 @@ func main() {
 		fatal(errors.New("at least one -replica url is required"))
 	}
 
-	logW, err := openAccessLog(*accessLog)
+	logW, err := obs.OpenAccessLog(*accessLog)
 	if err != nil {
 		fatal(err)
 	}
@@ -162,23 +161,6 @@ func main() {
 	}
 	g.Close() // stop the prober
 	fmt.Println("bye")
-}
-
-// openAccessLog resolves the -access-log flag: "" disables, "-" is stdout,
-// anything else appends to the named file.
-func openAccessLog(dest string) (io.Writer, error) {
-	switch dest {
-	case "":
-		return nil, nil
-	case "-":
-		return os.Stdout, nil
-	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("open -access-log: %w", err)
-		}
-		return f, nil
-	}
 }
 
 func fatal(err error) {

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -152,7 +151,7 @@ func main() {
 	// can watch this replica come up instead of timing out on it.
 	obs.Enable(*obsOn)
 	api := serve.NewServer(reg, gb)
-	if w, err := openAccessLog(*accessLog); err != nil {
+	if w, err := obs.OpenAccessLog(*accessLog); err != nil {
 		fatal(err)
 	} else if w != nil {
 		api.SetAccessLog(w)
@@ -244,23 +243,6 @@ func main() {
 	}
 	reg.Close() // answer anything already queued, then stop the engines
 	fmt.Println("bye")
-}
-
-// openAccessLog resolves the -access-log flag: "" disables, "-" is stdout,
-// anything else appends to the named file.
-func openAccessLog(dest string) (io.Writer, error) {
-	switch dest {
-	case "":
-		return nil, nil
-	case "-":
-		return os.Stdout, nil
-	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("open -access-log: %w", err)
-		}
-		return f, nil
-	}
 }
 
 func parseInts(s string) ([]int, error) {

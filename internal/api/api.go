@@ -3,7 +3,8 @@
 // and the extraction attacker's client (internal/extract). It is the one
 // place the wire schema lives: both servers encode from these types, the
 // attacker decodes into them, and the golden tests in both server packages
-// pin the bytes.
+// pin the bytes. Both servers also stand on its Front: one route table,
+// root handler, /tracez and /metricsz, and one predict lifecycle.
 //
 // # POST /v1/predict
 //

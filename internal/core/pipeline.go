@@ -169,7 +169,7 @@ func (p *pipeline) countCache(stage string, hit bool) {
 		name = "pipeline_cache_hits_total"
 	}
 	obs.Default.Counter(name).Inc()
-	obs.Default.Counter(fmt.Sprintf(`%s{stage=%q}`, name, stage)).Inc()
+	obs.Default.Counter(obs.SeriesName(name, "stage", stage)).Inc()
 }
 
 // archConf mixes the model architecture (and its init seed) into a key.

@@ -74,9 +74,6 @@ type Options struct {
 	// runs its own obs instance, exposed at its /metricsz. nil selects
 	// obs.Default.
 	Obs *obs.Registry
-	// MaxClients caps per-client metric cardinality (see the serve
-	// package's option of the same name). <= 0 selects 64.
-	MaxClients int
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// completed predict (a TraceRecord without spans).
 	AccessLog io.Writer
@@ -110,9 +107,6 @@ func (o Options) withDefaults() Options {
 	if o.Obs == nil {
 		o.Obs = obs.Default
 	}
-	if o.MaxClients <= 0 {
-		o.MaxClients = 64
-	}
 	return o
 }
 
@@ -140,18 +134,6 @@ type Gateway struct {
 	generation *obs.Gauge   // ring generation (bumped on every rebuild)
 	eligibleG  *obs.Gauge   // replicas currently on the ring
 
-	httpRequests *obs.Counter // every HTTP request, any endpoint
-
-	// Request tracing and per-client accounting (see internal/obs/trace.go):
-	// the gateway mints the trace ID every predict carries through the
-	// fleet, keeps its own completed-trace buffer for /tracez, and accounts
-	// requests per client with bounded cardinality.
-	traces     *obs.TraceBuffer
-	accessLog  *obs.AccessLogger
-	clientReqs *obs.CounterVec
-	clientErrs *obs.CounterVec
-	clientLat  *obs.HistogramVec
-
 	stop, done chan struct{}
 	startOnce  sync.Once
 	closeOnce  sync.Once
@@ -161,32 +143,25 @@ type Gateway struct {
 func New(opts Options) *Gateway {
 	opts = opts.withDefaults()
 	g := &Gateway{
-		opts:         opts,
-		ring:         buildRing(nil),
-		assignments:  map[string]string{},
-		budgets:      map[string]int{},
-		budget:       api.NewBudgetLedger(),
-		requests:     obs.NewCounter(),
-		retries:      obs.NewCounter(),
-		sheds:        obs.NewCounter(),
-		noReplica:    obs.NewCounter(),
-		generation:   obs.NewGauge(),
-		eligibleG:    obs.NewGauge(),
-		httpRequests: obs.NewCounter(),
-		traces:       obs.NewTraceBuffer(0, 0, 0),
-		accessLog:    obs.NewAccessLogger(opts.AccessLog),
-		clientReqs:   obs.NewCounterVec(opts.Obs, "gateway_client_requests_total", "client", opts.MaxClients),
-		clientErrs:   obs.NewCounterVec(opts.Obs, "gateway_client_errors_total", "client", opts.MaxClients),
-		clientLat:    obs.NewHistogramVec(opts.Obs, "gateway_client_latency_seconds", "client", opts.MaxClients, obs.ExpBuckets(0.0005, 2, 12)),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		opts:        opts,
+		ring:        buildRing(nil),
+		assignments: map[string]string{},
+		budgets:     map[string]int{},
+		budget:      api.NewBudgetLedger(),
+		requests:    obs.NewCounter(),
+		retries:     obs.NewCounter(),
+		sheds:       obs.NewCounter(),
+		noReplica:   obs.NewCounter(),
+		generation:  obs.NewGauge(),
+		eligibleG:   obs.NewGauge(),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	for name, c := range map[string]*obs.Counter{
 		"gateway_predict_requests_total": g.requests,
 		"gateway_retries_total":          g.retries,
 		"gateway_sheds_total":            g.sheds,
 		"gateway_no_replica_total":       g.noReplica,
-		"gateway_http_requests_total":    g.httpRequests,
 	} {
 		opts.Obs.RegisterCounter(name, c)
 	}
@@ -209,7 +184,7 @@ func (g *Gateway) AddReplica(id, baseURL string) (*Replica, error) {
 		errors:   obs.NewCounter(),
 		probeLat: obs.NewHistogram(obs.ExpBuckets(0.0005, 2, 12)),
 	}
-	lbl := fmt.Sprintf(`{replica=%q}`, id)
+	lbl := obs.SeriesName("", "replica", id)
 	g.opts.Obs.RegisterCounter("gateway_replica_requests_total"+lbl, r.requests)
 	g.opts.Obs.RegisterCounter("gateway_replica_errors_total"+lbl, r.errors)
 	g.opts.Obs.RegisterHistogram("gateway_probe_latency_seconds"+lbl, r.probeLat)

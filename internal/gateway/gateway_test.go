@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,7 +243,9 @@ func TestGatewayHungReplica(t *testing.T) {
 	g, reps := stubGateway(t, Options{RequestTimeout: timeout, FailAfter: 2}, hung, live)
 	g.ProbeAll(context.Background())
 	model := pickStubModel(t, g, reps[0])
-	ts := gatewayServer(t, g)
+	srv := NewServer(g)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	body := []byte(fmt.Sprintf(`{"model":%q,"input":[1]}`, model))
 
 	// (a) The owner hangs; the other replica answers within one timeout.
@@ -253,7 +256,7 @@ func TestGatewayHungReplica(t *testing.T) {
 	if d := time.Since(start); d > timeout+time.Second {
 		t.Fatalf("answered after %v, want within %v", d, timeout+time.Second)
 	}
-	rec := g.Traces().Snapshot().Recent[0]
+	rec := srv.Traces().Snapshot().Recent[0]
 	a0, ok0 := spanByName(rec.Spans, "attempt0")
 	a1, ok1 := spanByName(rec.Spans, "attempt1")
 	if !ok0 || !ok1 || a0.Detail != reps[0].ID || a1.Detail != reps[1].ID {

@@ -32,52 +32,47 @@ func (a attemptResult) retryable() bool {
 // candidate under the bounded-load rule, forward, and on a retryable
 // failure back off once and try the next distinct candidate. Transport
 // errors mark the replica passively failed. The final attempt's response
-// (or a gateway-synthesized error) is written to w. tr is the request's
-// trace (nil-safe): routing and each proxied attempt get spans, and the
+// (or a gateway-synthesized error) is written to w, and c finished. The
+// routing and each proxied attempt get spans on c's trace, and the
 // replica's X-Dac-Server-Timing breakdown is attributed to its attempt.
-func (g *Gateway) proxyPredict(ctx context.Context, w http.ResponseWriter, model string, body []byte, tr *obs.RequestTrace, client string) {
+func (g *Gateway) proxyPredict(ctx context.Context, w http.ResponseWriter, model string, body []byte, c *api.Call) {
 	g.requests.Inc()
-	fail := func(status int, code, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		writeTraceError(w, status, code, tr, msg)
-		g.finishPredict(tr, client, status, msg)
-	}
-	routeSp := tr.StartSpan("route")
+	routeSp := c.Trace.StartSpan("route")
 	cands := g.currentRing().candidates(model)
 	if len(cands) == 0 {
 		routeSp.End()
 		g.noReplica.Inc()
-		fail(http.StatusServiceUnavailable, api.CodeUnavailable, "no ready replica (pool of %d)", len(g.Replicas()))
+		c.Fail(http.StatusServiceUnavailable, api.CodeUnavailable, "no ready replica (pool of %d)", len(g.Replicas()))
 		return
 	}
 	first := g.pick(cands, nil)
 	routeSp.End()
 	if first == nil {
 		g.sheds.Inc()
-		tr.SetShed()
-		fail(http.StatusServiceUnavailable, api.CodeOverCapacity, "shed: all %d candidate replica(s) at max in-flight", len(cands))
+		c.Trace.SetShed()
+		c.Fail(http.StatusServiceUnavailable, api.CodeOverCapacity, "shed: all %d candidate replica(s) at max in-flight", len(cands))
 		return
 	}
-	res := g.tracedAttempt(ctx, first, body, tr, client, 0)
+	res := g.tracedAttempt(ctx, first, body, c.Trace, c.Client, 0)
 	if res.retryable() {
 		if second := g.pick(cands, first); second != nil {
 			g.retries.Inc()
-			tr.SetRetried()
+			c.Trace.SetRetried()
 			if g.opts.RetryBackoff > 0 {
 				select {
 				case <-time.After(g.opts.RetryBackoff):
 				case <-ctx.Done():
 				}
 			}
-			res = g.tracedAttempt(ctx, second, body, tr, client, 1)
+			res = g.tracedAttempt(ctx, second, body, c.Trace, c.Client, 1)
 		}
 	}
 	if res.err != nil {
-		fail(http.StatusBadGateway, api.CodeBadGateway, "replica unreachable: %v", res.err)
+		c.Fail(http.StatusBadGateway, api.CodeBadGateway, "replica unreachable: %v", res.err)
 		return
 	}
-	relay(w, res, tr)
-	g.finishPredict(tr, client, res.status, "")
+	relay(w, res)
+	c.Finish(res.status, "")
 }
 
 // tracedAttempt wraps one proxied attempt in a span (attempt0/attempt1,
@@ -163,51 +158,16 @@ func (g *Gateway) attempt(ctx context.Context, rep *Replica, body []byte, traceI
 	return attemptResult{status: resp.StatusCode, header: resp.Header, body: out}
 }
 
-// relay writes a replica's response through unchanged, adding the trace ID
-// and passing the replica's timing breakdown along so the end client sees
-// both.
-func relay(w http.ResponseWriter, res attemptResult, tr *obs.RequestTrace) {
+// relay writes a replica's response through unchanged, passing the
+// replica's timing breakdown along beside the gateway's trace ID so the end
+// client sees both.
+func relay(w http.ResponseWriter, res attemptResult) {
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	if st := res.header.Get(obs.HeaderServerTiming); st != "" {
 		w.Header().Set(obs.HeaderServerTiming, st)
 	}
-	if tr != nil {
-		w.Header().Set(obs.HeaderTrace, tr.ID().String())
-	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-// finishPredict closes out one gateway predict: per-client accounting
-// (always), then the finished trace goes to the buffer and access log.
-func (g *Gateway) finishPredict(tr *obs.RequestTrace, client string, status int, errMsg string) {
-	g.clientReqs.Get(client).Inc()
-	if status >= 400 {
-		g.clientErrs.Get(client).Inc()
-	}
-	if tr == nil {
-		return
-	}
-	rec := tr.Finish(status, errMsg)
-	g.clientLat.Observe(client, float64(rec.DurMicros)/1e6)
-	g.traces.Add(rec)
-	g.accessLog.Log(rec)
-}
-
-// Traces returns the gateway's completed-trace buffer (what /tracez
-// serves).
-func (g *Gateway) Traces() *obs.TraceBuffer { return g.traces }
-
-// writeTraceError writes the unified error envelope with the request's
-// trace ID folded in and echoed in X-Dac-Trace, mirroring the serve
-// package. An empty code falls back to the status's default.
-func writeTraceError(w http.ResponseWriter, status int, code string, tr *obs.RequestTrace, msg string) {
-	traceID := ""
-	if tr != nil {
-		traceID = tr.ID().String()
-		w.Header().Set(obs.HeaderTrace, traceID)
-	}
-	api.WriteError(w, status, code, traceID, "%s", msg)
 }

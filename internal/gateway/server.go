@@ -31,78 +31,55 @@ import (
 //	GET  /metricsz         the gateway's obs registry (Prometheus text;
 //	                       ?format=json for the JSON snapshot)
 type Server struct {
-	gw  *Gateway
-	mux *http.ServeMux
-	// routes records every registered mux pattern for Routes — the
-	// route-inventory golden pins the gateway's whole surface from it.
-	routes []string
-	// ops is the model-operation dispatch table POST /v1/models/{nameop}
-	// resolves against.
-	ops map[string]api.ModelOpHandler
+	gw *Gateway
+	// front holds the routes, the ops endpoints and the predict lifecycle
+	// the replica shares; tracing stays on.
+	front *api.Front
 }
 
 // NewServer wraps gw.
 func NewServer(gw *Gateway) *Server {
-	s := &Server{gw: gw, mux: http.NewServeMux()}
-	s.ops = map[string]api.ModelOpHandler{
+	s := &Server{gw: gw, front: api.NewFront(gw.opts.Obs, "gateway")}
+	f := s.front
+	f.SetAccessLog(gw.opts.AccessLog)
+	f.Handle("POST /v1/predict", s.handlePredict)
+	f.Handle("GET /v1/models", s.handleModels)
+	f.Handle("GET /v1/assignments", s.handleAssignments)
+	f.Handle("POST /v1/admin/reload", s.handleReload)
+	f.HandleModelOps(map[string]api.ModelOpHandler{
 		"reload": s.opReload,
 		"policy": s.opPolicy,
-	}
-	s.handle("POST /v1/predict", s.handlePredict)
-	s.handle("GET /v1/models", s.handleModels)
-	s.handle("GET /v1/assignments", s.handleAssignments)
-	s.handle("POST /v1/admin/reload", s.handleReload)
-	s.handle("POST /v1/models/{nameop}", s.handleModelOp)
-	s.handle("GET /healthz", s.handleHealth)
-	s.handle("GET /readyz", s.handleReady)
-	s.handle("GET /statsz", s.handleStats)
-	s.handle("GET /tracez", s.handleTraces)
-	s.handle("GET /metricsz", s.handleMetrics)
+	})
+	f.Handle("GET /healthz", s.handleHealth)
+	f.Handle("GET /readyz", s.handleReady)
+	f.Handle("GET /statsz", s.handleStats)
+	f.Handle("GET /tracez", f.HandleTraces)
+	f.Handle("GET /metricsz", f.HandleMetrics)
 	return s
-}
-
-// handle registers pattern on the mux and records it for Routes.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.routes = append(s.routes, pattern)
-	s.mux.HandleFunc(pattern, h)
 }
 
 // Routes returns every registered mux pattern in registration order — the
 // gateway's whole HTTP surface, which the route-inventory golden pins.
-func (s *Server) Routes() []string {
-	return append([]string(nil), s.routes...)
-}
+func (s *Server) Routes() []string { return s.front.Routes() }
 
-// Handler returns the root handler. Every request body is bounded at
-// api.MaxBodyBytes, as on the replicas; an oversize body fails its read or
-// JSON decode and answers 400.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.gw.httpRequests.Inc()
-		r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
-		s.mux.ServeHTTP(w, r)
-	})
-}
+// Handler returns the root handler: every request counted, every body
+// bounded at api.MaxBodyBytes, as on the replicas.
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
+
+// Traces returns the server's completed-trace buffer (what /tracez
+// serves).
+func (s *Server) Traces() *obs.TraceBuffer { return s.front.Traces() }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The gateway is where a fleet trace is born: mint (or adopt) the trace
 	// ID here, and it follows the request through routing, each proxied
 	// attempt, and the replica's own trace.
-	client := obs.ClientFrom(r.Header.Get(obs.HeaderClient), r.RemoteAddr)
-	id, hop, _ := obs.ParseTraceHeader(r.Header.Get(obs.HeaderTrace))
-	tr := obs.NewRequestTrace(id, nil)
-	tr.SetClient(client)
-	tr.SetHop(hop)
-	fail := func(status int, code, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		writeTraceError(w, status, code, tr, msg)
-		s.gw.finishPredict(tr, client, status, msg)
-	}
-	sp := tr.StartSpan("decode")
+	c := s.front.Begin(w, r)
+	sp := c.Trace.StartSpan("decode")
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		sp.End()
-		fail(http.StatusBadRequest, api.CodeBadRequest, "read request body: %v", err)
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "read request body: %v", err)
 		return
 	}
 	// Only the routing key, the API pin, and the sample count are decoded
@@ -118,18 +95,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	err = json.Unmarshal(body, &req)
 	sp.End()
 	if err != nil {
-		fail(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.API != "" && req.API != api.Version {
-		fail(http.StatusBadRequest, api.CodeUnsupportedAPI, "unsupported api version %q (this gateway speaks %q)", req.API, api.Version)
+		c.Fail(http.StatusBadRequest, api.CodeUnsupportedAPI, "unsupported api version %q (this gateway speaks %q)", req.API, api.Version)
 		return
 	}
 	if req.Model == "" {
-		fail(http.StatusBadRequest, api.CodeBadRequest, "model must be set")
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "model must be set")
 		return
 	}
-	tr.SetModel(req.Model)
+	c.Trace.SetModel(req.Model)
 	// Edge budget enforcement: a client that spent its allowance is turned
 	// away here, before any replica is dialed or retried.
 	samples := len(req.Inputs)
@@ -137,17 +114,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		samples = 1
 	}
 	if samples > 0 {
-		if budget := s.gw.edgeBudget(req.Model); !s.gw.budget.Allow(req.Model, client, samples, budget) {
-			fail(http.StatusTooManyRequests, api.CodeBudgetExhausted,
-				"client %q has exhausted its %d-sample query budget for model %q", client, budget, req.Model)
+		if budget := s.gw.edgeBudget(req.Model); !s.gw.budget.Allow(req.Model, c.Client, samples, budget) {
+			c.Fail(http.StatusTooManyRequests, api.CodeBudgetExhausted,
+				"client %q has exhausted its %d-sample query budget for model %q", c.Client, budget, req.Model)
 			return
 		}
 	}
-	s.gw.proxyPredict(r.Context(), w, req.Model, body, tr, client)
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	api.WriteJSON(w, http.StatusOK, s.gw.traces.Snapshot())
+	s.gw.proxyPredict(r.Context(), w, req.Model, body, &c)
 }
 
 // fleetModel is one model name's fleet-wide view: which digest each
@@ -280,13 +253,6 @@ type reloadRequest struct {
 	Digest string `json:"digest"`
 }
 
-// handleModelOp routes POST /v1/models/{name}:{op} through the op
-// dispatch table — the same path convention and parser dacserve uses, so
-// fleet and replica admin verbs read alike.
-func (s *Server) handleModelOp(w http.ResponseWriter, r *http.Request) {
-	api.DispatchModelOp(w, r, r.PathValue("nameop"), s.ops)
-}
-
 func (s *Server) opReload(w http.ResponseWriter, r *http.Request, name string) {
 	var req reloadRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -414,15 +380,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"replicas":        perReplica,
 		"assignments":     s.gw.Assignments(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.gw.opts.Obs
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
 }

@@ -91,7 +91,8 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 	if n := g.ProbeAll(context.Background()); n != 2 {
 		t.Fatalf("eligible = %d, want 2", n)
 	}
-	ts := httptest.NewServer(NewServer(g).Handler())
+	srv := NewServer(g)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	const traceID = "0f0e0d0c0b0a09080706050403020100"
@@ -135,7 +136,7 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 
 	// One gateway trace: retried, with attempt spans for both tries and the
 	// retried replica's breakdown attributed to attempt1.
-	snap := g.Traces().Snapshot()
+	snap := srv.Traces().Snapshot()
 	if snap.Total != 1 || len(snap.Recent) != 1 {
 		t.Fatalf("tracez = %+v", snap)
 	}
@@ -181,7 +182,8 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 func TestGatewayErrorBodyCarriesTraceID(t *testing.T) {
 	g := New(Options{ProbeInterval: -1, RetryBackoff: -1, Obs: obs.NewRegistry()})
 	t.Cleanup(g.Close)
-	ts := httptest.NewServer(NewServer(g).Handler())
+	srv := NewServer(g)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
@@ -201,7 +203,7 @@ func TestGatewayErrorBodyCarriesTraceID(t *testing.T) {
 	if out["trace_id"] == "" || out["trace_id"] != hdr {
 		t.Fatalf("trace_id body %q vs header %q", out["trace_id"], hdr)
 	}
-	snap := g.Traces().Snapshot()
+	snap := srv.Traces().Snapshot()
 	if snap.Total != 1 || len(snap.Errors) != 1 || snap.Errors[0].TraceID != hdr {
 		t.Fatalf("tracez after error = %+v", snap)
 	}

@@ -273,6 +273,9 @@ func validate(rm *ReleasedModel) error {
 	if want < 0 {
 		return fmt.Errorf("%w: architecture %+v cannot be built", ErrMalformed, rm.Arch)
 	}
+	if !rm.Arch.ActivationsFit() {
+		return fmt.Errorf("%w: architecture %+v has activations too large to index", ErrMalformed, rm.Arch)
+	}
 	for _, b := range rm.Dense {
 		n := 1
 		for _, d := range b.Shape {

@@ -378,6 +378,9 @@ func TestMalformedReleasesRejected(t *testing.T) {
 		{"zero width", withArch(func(a *nn.ResNetConfig) { a.Widths = []int{4, 0} }), true},
 		{"negative block count", withArch(func(a *nn.ResNetConfig) { a.Blocks = []int{1, -1} }), true},
 		{"parameter count overflows", withArch(func(a *nn.ResNetConfig) { a.Widths, a.Blocks = []int{1 << 31}, []int{1 << 40} }), true},
+		{"input size overflows", withArch(func(a *nn.ResNetConfig) { a.InH, a.InW = 1<<32, 1<<32 }), true},
+		// 1×2³¹×2³¹ input values fit an int; the first stage's 4 channels of them do not.
+		{"first stage activation overflows", withArch(func(a *nn.ResNetConfig) { a.InH, a.InW = 1<<31, 1<<31 }), true},
 		{"header claims a huge network", func(*testing.T) *ReleasedModel {
 			return &ReleasedModel{Arch: nn.ResNetConfig{InC: 1, InH: 8, InW: 8, Classes: 4, Widths: []int{16384}, Blocks: []int{1}}}
 		}, true},

@@ -126,6 +126,22 @@ func (cfg ResNetConfig) NumParams() int {
 	return n
 }
 
+// ActivationsFit reports whether every per-sample tensor NewResNet(cfg)
+// passes between stages — the input and each stage's output — has a size
+// that fits an int. A release whose sizes wrap would otherwise load, then
+// index its eval buffers with the wrapped values. cfg must pass NumParams.
+func (cfg ResNetConfig) ActivationsFit() bool {
+	ok := mulAdd(0, cfg.InC, cfg.InH, cfg.InW) >= 0
+	h, w := cfg.InH, cfg.InW
+	for si, c := range cfg.Widths {
+		if si > 0 {
+			h, w = (h-1)/2+1, (w-1)/2+1 // a 3×3 stride-2 conv, padded by 1
+		}
+		ok = ok && mulAdd(0, c, h, w) >= 0
+	}
+	return ok
+}
+
 // mulAdd returns n plus the product of factors (all non-negative), or -1
 // if n is already -1 or the result overflows an int.
 func mulAdd(n int, factors ...int) int {

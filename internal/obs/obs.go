@@ -57,16 +57,3 @@ func Enabled() bool { return enabled.Load() }
 // Default is the process-wide registry. Instrumented packages record into
 // it; dacserve's /metricsz endpoint exposes it.
 var Default = NewRegistry()
-
-// DefaultTracer is the process-wide span tree behind the package-level Span
-// helper.
-var DefaultTracer = NewTracer()
-
-// Span opens a span on the default tracer when observability is enabled,
-// and a no-op span otherwise.
-func Span(path string) SpanHandle {
-	if !Enabled() {
-		return SpanHandle{}
-	}
-	return DefaultTracer.Span(path)
-}

@@ -102,19 +102,3 @@ func TestTracerResetAndEmptyReport(t *testing.T) {
 		t.Fatalf("empty report = %q", got)
 	}
 }
-
-func TestPackageSpanGatedOnEnable(t *testing.T) {
-	DefaultTracer.Reset()
-	Enable(false)
-	Span("gated").End()
-	if got := DefaultTracer.Report(); got != "no spans recorded\n" {
-		t.Fatalf("disabled Span still recorded: %q", got)
-	}
-	Enable(true)
-	defer Enable(false)
-	Span("gated").End()
-	if got := DefaultTracer.Report(); !strings.Contains(got, "gated") {
-		t.Fatalf("enabled Span missing from report: %q", got)
-	}
-	DefaultTracer.Reset()
-}

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
@@ -136,6 +138,23 @@ func NewAccessLogger(w io.Writer) *AccessLogger {
 		return nil
 	}
 	return &AccessLogger{w: w}
+}
+
+// OpenAccessLog resolves an -access-log flag value: "" disables (a nil
+// writer), "-" is stdout, anything else appends to the named file.
+func OpenAccessLog(dest string) (io.Writer, error) {
+	switch dest {
+	case "":
+		return nil, nil
+	case "-":
+		return os.Stdout, nil
+	default:
+		f, err := os.OpenFile(dest, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("open -access-log: %w", err)
+		}
+		return f, nil
+	}
 }
 
 // Log writes rec as one JSON line. Marshal or write failures are dropped —

@@ -53,7 +53,7 @@ func (v *CounterVec) Get(value string) *Counter {
 			return c
 		}
 	}
-	c := v.reg.Counter(seriesName(v.name, v.label, value))
+	c := v.reg.Counter(SeriesName(v.name, v.label, value))
 	v.known[value] = c
 	return c
 }
@@ -94,7 +94,7 @@ func (v *HistogramVec) Get(value string) *Histogram {
 			return h
 		}
 	}
-	h := v.reg.Histogram(seriesName(v.name, v.label, value), v.bounds)
+	h := v.reg.Histogram(SeriesName(v.name, v.label, value), v.bounds)
 	v.known[value] = h
 	return h
 }
@@ -102,12 +102,13 @@ func (v *HistogramVec) Get(value string) *Histogram {
 // Observe records one value into the histogram for the label value.
 func (v *HistogramVec) Observe(value string, x float64) { v.Get(value).Observe(x) }
 
-// seriesName renders name{label="value"} — the label syntax the exposition
-// layer splits back apart. The value is escaped by the Prometheus text
-// format's rules, which know only \\, \" and \n: Go's %q would also emit
-// \t or \x.. escapes that make every scrape fail to parse.
-func seriesName(name, label, value string) string {
-	return name + "{" + label + `="` + labelEscaper.Replace(value) + `"}`
+// SeriesName renders name{label="value"} — the label syntax the exposition
+// layer splits back apart. The value is made valid UTF-8 and escaped by the
+// Prometheus text format's rules, which know only \\, \" and \n: Go's %q
+// would also emit \t or \x.. escapes that make every scrape fail to parse.
+// An empty name renders the bare label block, to append to several names.
+func SeriesName(name, label, value string) string {
+	return name + "{" + label + `="` + labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD")) + `"}`
 }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

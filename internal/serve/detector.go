@@ -27,9 +27,6 @@ type Detector struct {
 	minQueries int
 	// novelty is the distinct-fraction threshold in [0, 1].
 	novelty float64
-	// maxClients caps tracked identities; later ones share the overflow
-	// profile, mirroring the per-client metric vecs.
-	maxClients int
 
 	mu      sync.Mutex
 	clients map[string]*clientProfile
@@ -52,7 +49,6 @@ func newDetector(opts Options) *Detector {
 	d := &Detector{
 		minQueries: opts.DetectMinQueries,
 		novelty:    opts.DetectNovelty,
-		maxClients: opts.MaxClients,
 		clients:    map[string]*clientProfile{},
 		flagged:    obs.NewGauge(),
 		samples:    obs.NewCounter(),
@@ -74,7 +70,9 @@ func (d *Detector) Observe(client string, inputs [][]float64) {
 	defer d.mu.Unlock()
 	p, ok := d.clients[client]
 	if !ok {
-		if len(d.clients) >= d.maxClients {
+		// Past the per-client metric vecs' cap, later identities share
+		// the overflow profile.
+		if len(d.clients) >= obs.DefaultMaxLabelValues {
 			client = obs.OverflowLabel
 			p = d.clients[client]
 		}

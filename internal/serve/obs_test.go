@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -205,5 +207,54 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	}
 	if counters[`serve_requests_served_total{model="demo"}`] != 1 {
 		t.Fatalf("json counters = %v", counters)
+	}
+}
+
+// Any HTTP client picks the model name of a :load, and the name becomes the
+// model label of every engine series. A tab, quote, backslash, newline or
+// invalid UTF-8 in it must still leave every /metricsz line valid UTF-8
+// with only the text format's legal escapes, or a strict scraper rejects
+// the whole page.
+func TestLoadedModelLabelsExposeAsValidPrometheus(t *testing.T) {
+	store := testStore(t)
+	digest, err := PublishReleaseFile(store, writeReleased(t, 98, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := httpServer(t, Options{MaxBatch: 4, QueueDepth: 16, Threads: 1, Store: store, Obs: obs.NewRegistry()})
+	names := []string{"tab%09here", "say%22hi%22", "back%5Cslash", "line%0Afeed", "caf%C3%A9", "raw%FFbyte"}
+	for _, name := range names {
+		if status, body := postJSON(t, ts.URL+"/v1/models/"+name+":load", loadRequest{Digest: digest}); status != http.StatusOK {
+			t.Fatalf("load %s: status %d (%s)", name, status, body["error"])
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// One sample line: name, optional labels whose values escape only \\,
+	// \" and \n, then a value.
+	label := `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"`
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{` + label + `(?:,` + label + `)*\})? \S+$`)
+	served := 0
+	for _, line := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		if !utf8.ValidString(line) {
+			t.Fatalf("line %q is not valid UTF-8", line)
+		}
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		if !sample.MatchString(line) {
+			t.Fatalf("line %q is not a valid text-format sample", line)
+		}
+		if strings.HasPrefix(line, "serve_requests_served_total{") {
+			served++
+		}
+	}
+	if served != len(names) {
+		t.Fatalf("exposed %d served-requests series, want one per model (%d):\n%s", served, len(names), text)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -147,23 +148,21 @@ func TestDetectorFlagsNovelHighVolume(t *testing.T) {
 }
 
 func TestDetectorClientOverflow(t *testing.T) {
-	opts := Options{DetectMinQueries: 4, DetectNovelty: 0.5, MaxClients: 2, Obs: obs.NewRegistry()}.withDefaults()
-	opts.DetectMinQueries, opts.MaxClients = 4, 2
+	opts := Options{DetectMinQueries: 4, DetectNovelty: 0.5, Obs: obs.NewRegistry()}.withDefaults()
 	d := newDetector(opts)
-	d.Observe("a", testInputs(2, 4, 1))
-	d.Observe("b", testInputs(2, 4, 2))
-	d.Observe("c", testInputs(2, 4, 3))
-	d.Observe("d", testInputs(2, 4, 4))
+	for i := 0; i < obs.DefaultMaxLabelValues+2; i++ {
+		d.Observe(fmt.Sprintf("client%d", i), testInputs(2, 4, int64(i+1)))
+	}
 	rep := d.Report()
-	if len(rep.Clients) != 3 {
-		t.Fatalf("tracked %d profiles, want 2 + overflow: %+v", len(rep.Clients), rep.Clients)
+	if len(rep.Clients) != obs.DefaultMaxLabelValues+1 {
+		t.Fatalf("tracked %d profiles, want %d + overflow: %+v", len(rep.Clients), obs.DefaultMaxLabelValues, rep.Clients)
 	}
 	byClient := map[string]ClientDetectReport{}
 	for _, c := range rep.Clients {
 		byClient[c.Client] = c
 	}
 	if got := byClient[obs.OverflowLabel]; got.Queries != 4 {
-		t.Fatalf("overflow profile collected %d queries, want 4 (c and d collapsed)", got.Queries)
+		t.Fatalf("overflow profile collected %d queries, want 4 (the last two clients collapsed)", got.Queries)
 	}
 }
 

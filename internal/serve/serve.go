@@ -65,12 +65,6 @@ type Options struct {
 	// LatencyBuckets are the per-batch forward-latency histogram bounds in
 	// seconds. nil selects DefaultLatencyBuckets.
 	LatencyBuckets []float64
-	// MaxClients caps the per-client metric cardinality: the first
-	// MaxClients distinct client identities each get their own
-	// serve_client_* series, later ones collapse into the "_other"
-	// overflow series (clients would otherwise mint unbounded series by
-	// varying X-Dac-Client). <= 0 selects 64.
-	MaxClients int
 	// DetectMinQueries is the extraction detector's volume floor: a
 	// client is never flagged before it has spent this many prediction
 	// samples. <= 0 selects 256.
@@ -94,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LatencyBuckets == nil {
 		o.LatencyBuckets = DefaultLatencyBuckets
-	}
-	if o.MaxClients <= 0 {
-		o.MaxClients = 64
 	}
 	if o.DetectMinQueries <= 0 {
 		o.DetectMinQueries = 256

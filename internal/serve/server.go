@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -39,44 +38,19 @@ type Server struct {
 	// endpoint partitions weights with (the adversary-side constant from
 	// the shared preset); requests may override them.
 	auditBounds []int
-	mux         *http.ServeMux
-	// routes records every registered mux pattern, in registration order —
-	// ServeMux does not expose its patterns, and the route-inventory golden
-	// needs the full surface.
-	routes []string
-	// ops is the model-operation dispatch table POST /v1/models/{nameop}
-	// resolves against.
-	ops map[string]api.ModelOpHandler
+	// front holds the routes, the ops endpoints and the predict lifecycle
+	// the gateway shares.
+	front *api.Front
 	// detector watches per-client query volume and input novelty for
 	// extraction-like traffic (GET /detectz).
 	detector *Detector
 	// budget enforces per-model, per-client query budgets from the
 	// registry's policies.
 	budget *api.BudgetLedger
-	// httpRequests counts every HTTP request; a fresh instance per server,
-	// registered as serve_http_requests_total on the registry's obs
-	// registry (replace semantics, like engine series).
-	httpRequests *obs.Counter
 	// readiness is the /readyz state machine: starting → ready → draining.
 	// Liveness (/healthz) is separate — a starting or draining replica is
 	// alive but must not receive new gateway traffic.
 	readiness atomic.Int32
-
-	// tracing gates per-request trace construction on /v1/predict (on by
-	// default; EnableTracing(false) drops the whole path to nil-trace
-	// no-ops). Per-client accounting stays on either way.
-	tracing atomic.Bool
-	// now is the tracing clock (time.Now outside tests; the /tracez golden
-	// injects a fake).
-	now func() time.Time
-	// traces retains completed request traces for GET /tracez.
-	traces *obs.TraceBuffer
-	// accessLog, when set, gets one JSON line per completed predict.
-	accessLog *obs.AccessLogger
-	// Per-client accounting, cardinality-capped at Options.MaxClients.
-	clientReqs *obs.CounterVec
-	clientErrs *obs.CounterVec
-	clientLat  *obs.HistogramVec
 }
 
 // Readiness states, in lifecycle order. A server starts not-ready
@@ -95,62 +69,49 @@ const (
 func NewServer(reg *Registry, auditBounds []int) *Server {
 	opts := reg.Options()
 	s := &Server{
-		reg: reg, auditBounds: auditBounds, mux: http.NewServeMux(),
-		detector:     newDetector(opts),
-		budget:       api.NewBudgetLedger(),
-		httpRequests: obs.NewCounter(),
-		now:          time.Now,
-		traces:       obs.NewTraceBuffer(0, 0, 0),
-		clientReqs:   obs.NewCounterVec(opts.Obs, "serve_client_requests_total", "client", opts.MaxClients),
-		clientErrs:   obs.NewCounterVec(opts.Obs, "serve_client_errors_total", "client", opts.MaxClients),
-		clientLat:    obs.NewHistogramVec(opts.Obs, "serve_client_latency_seconds", "client", opts.MaxClients, DefaultLatencyBuckets),
+		reg: reg, auditBounds: auditBounds,
+		front:    api.NewFront(opts.Obs, "serve"),
+		detector: newDetector(opts),
+		budget:   api.NewBudgetLedger(),
 	}
-	s.tracing.Store(true)
-	opts.Obs.RegisterCounter("serve_http_requests_total", s.httpRequests)
-	s.ops = map[string]api.ModelOpHandler{
+	f := s.front
+	f.Handle("POST /v1/predict", s.handlePredict)
+	f.Handle("GET /v1/models", s.handleModels)
+	f.HandleModelOps(map[string]api.ModelOpHandler{
 		"audit":  s.opAudit,
 		"load":   s.opLoad,
 		"policy": s.opPolicy,
-	}
-	s.handle("POST /v1/predict", s.handlePredict)
-	s.handle("GET /v1/models", s.handleModels)
-	s.handle("POST /v1/models/{nameop}", s.handleModelOp)
-	s.handle("GET /healthz", s.handleHealth)
-	s.handle("GET /readyz", s.handleReady)
-	s.handle("GET /statsz", s.handleStats)
-	s.handle("GET /tracez", s.handleTraces)
-	s.handle("GET /detectz", s.handleDetect)
-	s.handle("GET /metricsz", s.handleMetrics)
+	})
+	f.Handle("GET /healthz", s.handleHealth)
+	f.Handle("GET /readyz", s.handleReady)
+	f.Handle("GET /statsz", s.handleStats)
+	f.Handle("GET /tracez", f.HandleTraces)
+	f.Handle("GET /detectz", s.handleDetect)
+	f.Handle("GET /metricsz", f.HandleMetrics)
 	return s
-}
-
-// handle registers pattern on the mux and records it for Routes.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.routes = append(s.routes, pattern)
-	s.mux.HandleFunc(pattern, h)
 }
 
 // Routes returns every registered mux pattern in registration order — the
 // server's whole HTTP surface, which the route-inventory golden pins.
-func (s *Server) Routes() []string {
-	return append([]string(nil), s.routes...)
-}
+func (s *Server) Routes() []string { return s.front.Routes() }
 
 // Detector returns the server's extraction-pattern detector (what
 // /detectz reports from).
 func (s *Server) Detector() *Detector { return s.detector }
 
 // EnableTracing toggles per-request trace construction (on by default).
-// With tracing off, predictions still flow and per-client accounting still
-// counts — only trace records, spans, and the timing response headers stop.
-func (s *Server) EnableTracing(on bool) { s.tracing.Store(on) }
+// With tracing off, predictions still flow and the per-client request and
+// error counts still count. Trace records, spans, the timing response
+// headers, the access log and the per-client latency histogram (fed from
+// the finished trace) stop.
+func (s *Server) EnableTracing(on bool) { s.front.EnableTracing(on) }
 
-// SetAccessLog directs one structured JSON line per completed predict to w
-// (nil disables). Lines are TraceRecords without spans.
-func (s *Server) SetAccessLog(w io.Writer) { s.accessLog = obs.NewAccessLogger(w) }
+// SetAccessLog directs one structured JSON line per completed traced
+// predict to w (nil disables). Lines are TraceRecords without spans.
+func (s *Server) SetAccessLog(w io.Writer) { s.front.SetAccessLog(w) }
 
 // Traces returns the server's completed-trace buffer (what /tracez serves).
-func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
+func (s *Server) Traces() *obs.TraceBuffer { return s.front.Traces() }
 
 // SetReady marks the server ready: initial model loading is done and
 // /readyz starts answering 200. Idempotent; a draining server stays
@@ -168,59 +129,33 @@ func (s *Server) StartDrain() {
 	s.readiness.Store(readyDraining)
 }
 
-// Handler returns the root handler. Every request body is bounded at
-// api.MaxBodyBytes, so a direct client cannot make the replica buffer
-// more than the gateway would forward; an oversize body fails its JSON
-// decode and answers 400.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.httpRequests.Inc()
-		r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
-		s.mux.ServeHTTP(w, r)
-	})
-}
+// Handler returns the root handler: every request counted, every body
+// bounded at api.MaxBodyBytes.
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	client := obs.ClientFrom(r.Header.Get(obs.HeaderClient), r.RemoteAddr)
-	var tr *obs.RequestTrace
-	if s.tracing.Load() {
-		// A malformed or absent X-Dac-Trace yields the zero ID, which mints
-		// a fresh trace — a direct (non-gateway) call still gets traced.
-		id, hop, _ := obs.ParseTraceHeader(r.Header.Get(obs.HeaderTrace))
-		tr = obs.NewRequestTrace(id, s.now)
-		tr.SetClient(client)
-		tr.SetHop(hop)
-	}
-	fail := func(status int, code, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		traceID := ""
-		if tr != nil {
-			traceID = tr.ID().String()
-			w.Header().Set(obs.HeaderTrace, traceID)
-		}
-		api.WriteError(w, status, code, traceID, "%s", msg)
-		s.finishPredict(tr, client, status, msg)
-	}
+	c := s.front.Begin(w, r)
+	tr := c.Trace
 	sp := tr.StartSpan("decode")
 	var req api.PredictRequest
 	err := json.NewDecoder(r.Body).Decode(&req)
 	sp.End()
 	if err != nil {
-		fail(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.API != "" && req.API != api.Version {
-		fail(http.StatusBadRequest, api.CodeUnsupportedAPI, "unsupported api version %q (this server speaks %q)", req.API, api.Version)
+		c.Fail(http.StatusBadRequest, api.CodeUnsupportedAPI, "unsupported api version %q (this server speaks %q)", req.API, api.Version)
 		return
 	}
 	tr.SetModel(req.Model)
 	if (req.Input == nil) == (req.Inputs == nil) {
-		fail(http.StatusBadRequest, api.CodeBadRequest, "exactly one of input/inputs must be set")
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "exactly one of input/inputs must be set")
 		return
 	}
 	en, ok := s.reg.Get(req.Model)
 	if !ok {
-		fail(http.StatusNotFound, api.CodeNotFound, "unknown model %q", req.Model)
+		c.Fail(http.StatusNotFound, api.CodeNotFound, "unknown model %q", req.Model)
 		return
 	}
 	tr.SetDigest(en.Digest)
@@ -229,16 +164,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		inputs = [][]float64{req.Input}
 	}
 	if len(inputs) == 0 {
-		fail(http.StatusBadRequest, api.CodeBadRequest, "empty batch")
+		c.Fail(http.StatusBadRequest, api.CodeBadRequest, "empty batch")
 		return
 	}
 	// The detector sees every attempt — including ones the budget denies
 	// below, since denied probes are still extraction pressure.
-	s.detector.Observe(client, inputs)
+	s.detector.Observe(c.Client, inputs)
 	pol := s.reg.PolicyFor(req.Model)
-	if !s.budget.Allow(req.Model, client, len(inputs), pol.QueryBudget) {
-		fail(http.StatusTooManyRequests, api.CodeBudgetExhausted,
-			"client %q has exhausted its %d-sample query budget for model %q", client, pol.QueryBudget, req.Model)
+	if !s.budget.Allow(req.Model, c.Client, len(inputs), pol.QueryBudget) {
+		c.Fail(http.StatusTooManyRequests, api.CodeBudgetExhausted,
+			"client %q has exhausted its %d-sample query budget for model %q", c.Client, pol.QueryBudget, req.Model)
 		return
 	}
 	// Submit every sample independently so the engine is free to coalesce
@@ -276,11 +211,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrQueueFull):
-				fail(http.StatusTooManyRequests, api.CodeOverCapacity, "%v", err)
+				c.Fail(http.StatusTooManyRequests, api.CodeOverCapacity, "%v", err)
 			case errors.Is(err, ErrClosed):
-				fail(http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
+				c.Fail(http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
 			default:
-				fail(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+				c.Fail(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 			}
 			return
 		}
@@ -291,7 +226,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		tr.AddSpan("predict/compute", subStart.Add(qw), cw)
 		tr.SetBatch(batch)
 		tr.SetQueueCompute(qw, cw)
-		w.Header().Set(obs.HeaderTrace, tr.ID().String())
 		w.Header().Set(obs.HeaderServerTiming, obs.FormatTimings([]obs.Timing{
 			{Name: "queue", Value: qw.Microseconds()},
 			{Name: "compute", Value: cw.Microseconds()},
@@ -308,28 +242,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.PredictResponse{
 		API: api.Version, Model: en.Name, Digest: en.Digest, Mode: mode, Predictions: preds,
 	})
-	s.finishPredict(tr, client, http.StatusOK, "")
-}
-
-// finishPredict closes out one predict request: per-client accounting
-// (always), then — when tracing — the finished record goes to the trace
-// buffer and the access log.
-func (s *Server) finishPredict(tr *obs.RequestTrace, client string, status int, errMsg string) {
-	s.clientReqs.Get(client).Inc()
-	if status >= 400 {
-		s.clientErrs.Get(client).Inc()
-	}
-	if tr == nil {
-		return
-	}
-	rec := tr.Finish(status, errMsg)
-	s.clientLat.Observe(client, float64(rec.DurMicros)/1e6)
-	s.traces.Add(rec)
-	s.accessLog.Log(rec)
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	api.WriteJSON(w, http.StatusOK, s.traces.Snapshot())
+	c.Finish(http.StatusOK, "")
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -396,12 +309,6 @@ type auditResponse struct {
 type auditGroup struct {
 	Name  string  `json:"name"`
 	Score float64 `json:"score"`
-}
-
-// handleModelOp routes POST /v1/models/{name}:{op} through the op
-// dispatch table.
-func (s *Server) handleModelOp(w http.ResponseWriter, r *http.Request) {
-	api.DispatchModelOp(w, r, r.PathValue("nameop"), s.ops)
 }
 
 func (s *Server) opAudit(w http.ResponseWriter, r *http.Request, name string) {
@@ -535,19 +442,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"http_requests": s.httpRequests.Value(),
+		"http_requests": s.front.HTTPRequests(),
 		"models":        s.reg.Stats(),
 		"skipped":       s.reg.SkippedCount(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.reg.Options().Obs
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
 }

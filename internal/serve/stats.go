@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -59,7 +58,7 @@ func newEngineStats(model string, opts Options) *EngineStats {
 	}
 	lbl := ""
 	if model != "" {
-		lbl = fmt.Sprintf(`{model=%q}`, model)
+		lbl = obs.SeriesName("", "model", model)
 	}
 	for name, c := range map[string]*obs.Counter{
 		"serve_requests_accepted_total" + lbl: s.accepted,

@@ -45,7 +45,8 @@ func TestEndToEndTraceAcrossGatewayAndReplica(t *testing.T) {
 	if n := g.ProbeAll(context.Background()); n != 1 {
 		t.Fatal("replica not eligible after probe")
 	}
-	gwTS := httptest.NewServer(gateway.NewServer(g).Handler())
+	gw := gateway.NewServer(g)
+	gwTS := httptest.NewServer(gw.Handler())
 	defer gwTS.Close()
 
 	ref := referenceModel(t, path)
@@ -76,7 +77,7 @@ func TestEndToEndTraceAcrossGatewayAndReplica(t *testing.T) {
 
 	// Same trace ID in both tiers' /tracez, with the hop label marking the
 	// replica-side record as the gateway's first attempt.
-	gwSnap := g.Traces().Snapshot()
+	gwSnap := gw.Traces().Snapshot()
 	repSnap := api.Traces().Snapshot()
 	if gwSnap.Total != 1 || len(gwSnap.Recent) != 1 {
 		t.Fatalf("gateway tracez = %+v", gwSnap)

@@ -58,7 +58,7 @@ func TestTracezGoldenWithFakeClock(t *testing.T) {
 	// span end, (10) finish. Empty flushes read no clock, so the engine's
 	// final empty drain does not perturb the sequence.
 	clock := traceClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond)
-	api.now = clock
+	api.front.Now = clock
 	en.engine.now = clock
 
 	body, err := json.Marshal(predictRequest{Model: "demo", Input: testInputs(1, en.Model().InputLen(), 81)[0]})
