@@ -24,10 +24,12 @@ vet:
 # Short fuzzing of the parsers that read bytes from another process or
 # party: the dist partial and control codecs and the session frame reader
 # (what a socket peer sends), the release-file reader (what a data holder
-# publishes), and the X-Dac-Trace and X-Dac-Server-Timing headers (what a
-# client and a replica send). go test -fuzz takes one target per
-# invocation, so each target gets its own line and 10 s; plain go test
-# runs only the seed corpora.
+# publishes), the X-Dac-Trace and X-Dac-Server-Timing headers (what a
+# client and a replica send), the /v1/predict body (what a client sends),
+# and the artifact-store codecs for quantization records, training
+# checkpoints and attack plans and reports (what the store hands back).
+# go test -fuzz takes one target per invocation, so each target gets its
+# own line and 10 s; plain go test runs only the seed corpora.
 fuzz-short:
 	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodePartial$$' -fuzztime 10s
 	go test ./internal/dist/ -run '^$$' -fuzz '^FuzzDecodeCtl$$' -fuzztime 10s
@@ -35,6 +37,11 @@ fuzz-short:
 	go test ./internal/modelio/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s
 	go test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTraceHeader$$' -fuzztime 10s
 	go test ./internal/obs/ -run '^$$' -fuzz '^FuzzParseTimings$$' -fuzztime 10s
+	go test ./internal/serve/ -run '^$$' -fuzz '^FuzzPredict$$' -fuzztime 10s
+	go test ./internal/quantize/ -run '^$$' -fuzz '^FuzzDecodeApplied$$' -fuzztime 10s
+	go test ./internal/train/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
+	go test ./internal/attack/ -run '^$$' -fuzz '^FuzzReadPlan$$' -fuzztime 10s
+	go test ./internal/attack/ -run '^$$' -fuzz '^FuzzReadReport$$' -fuzztime 10s
 
 # The end-to-end benchmark in bench/ is its own Go module, so ./... skips
 # it; this vets and tests it against the current sources (~7 s), so an API

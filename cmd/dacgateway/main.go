@@ -1,11 +1,11 @@
 // Command dacgateway fronts a pool of dacserve replicas with one HTTP
 // endpoint — the fleet half of the serving subsystem. Requests to
-// /v1/predict are routed by consistent hashing on the model name (so one
-// model's traffic concentrates on its owner replica, spilling to ring
-// neighbors only under the bounded-load rule), replicas are health-checked
-// continuously (/healthz + /readyz) and ejected from the ring the moment
-// they go down or start draining, and transient failures get one retry on
-// the next ring candidate:
+// /v1/predict are routed by consistent hashing on the model name (each
+// request goes to the ring candidate with the fewest in flight, so an idle
+// pool sends one model's traffic to its owner replica), replicas are
+// health-checked continuously (/healthz + /readyz) and ejected from the
+// ring the moment they go down or start draining, and transient failures
+// get one retry on the next ring candidate:
 //
 //	dacgateway -listen :8090 -replica r0=http://127.0.0.1:8080 -replica r1=http://127.0.0.1:8081
 //
@@ -84,7 +84,6 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "timeout for one /healthz + /readyz probe pair")
 	failAfter := flag.Int("fail-after", 2, "consecutive failures before a replica is marked down")
 	reviveAfter := flag.Int("revive-after", 2, "consecutive ready probes before a down replica rejoins")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load limit relative to the pool mean before spilling to the next ring node")
 	maxInflight := flag.Int("max-inflight", 256, "hard per-replica in-flight cap; requests are shed with 503 when every candidate is at it")
 	retryBackoff := flag.Duration("retry-backoff", 25*time.Millisecond, "pause before the single retry on another replica")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "timeout for one proxied predict attempt")
@@ -104,7 +103,6 @@ func main() {
 		ProbeTimeout:   *probeTimeout,
 		FailAfter:      *failAfter,
 		ReviveAfter:    *reviveAfter,
-		LoadFactor:     *loadFactor,
 		MaxInflight:    *maxInflight,
 		RetryBackoff:   *retryBackoff,
 		RequestTimeout: *reqTimeout,

@@ -112,8 +112,8 @@ func main() {
 	storeDir := flag.String("store", "", "artifact store of published releases; enables -pull and the :load endpoint (digest-based distribution)")
 	native := flag.Bool("native", false, "serve quantized releases codebook-native (LUT kernels over released indices; bit-identical, lower resident memory)")
 	listen := flag.String("listen", ":8080", "HTTP listen address")
-	maxBatch := flag.Int("max-batch", 16, "max requests coalesced into one forward pass")
-	queue := flag.Int("queue", 256, "per-model request queue depth (backpressure bound)")
+	maxBatch := flag.Int("max-batch", 16, "max samples coalesced into one forward pass")
+	queue := flag.Int("queue", 256, "per-model queue depth in samples (backpressure bound: a request that does not fit gets 429)")
 	threads := flag.Int("threads", 0, "worker threads per model engine (0 = all cores)")
 	bounds := flag.String("bounds", preset.BoundsCSV(), "default conv-index group bounds for the audit endpoint")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in)")

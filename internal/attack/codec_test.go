@@ -12,7 +12,7 @@ import (
 )
 
 // planFixture builds a real plan over a small dataset and model.
-func planFixture(t *testing.T) *Plan {
+func planFixture(t testing.TB) *Plan {
 	t.Helper()
 	d := dataset.SyntheticCIFAR(dataset.CIFARConfig{
 		N: 120, Classes: 10, H: 12, W: 12, Seed: 5,
@@ -30,7 +30,7 @@ func planFixture(t *testing.T) *Plan {
 	return p
 }
 
-func encodePlanBytes(t *testing.T, p *Plan) []byte {
+func encodePlanBytes(t testing.TB, p *Plan) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WritePlan(&buf, p); err != nil {
@@ -127,7 +127,7 @@ func reportFixture() *Report {
 	return rep
 }
 
-func encodeReportBytes(t *testing.T, rep *Report) []byte {
+func encodeReportBytes(t testing.TB, rep *Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, rep); err != nil {

@@ -93,10 +93,12 @@ type task struct {
 	fn     func(worker int)
 	worker int
 	wg     *sync.WaitGroup
-	// sent/queueWait, set only while obs is enabled, let the receiving
-	// worker account how long the task sat in the channel.
+	// sent/queueWait/busy, set only while obs is enabled, let the
+	// receiving worker account how long the task sat in the channel and
+	// how long it ran.
 	sent      time.Time
 	queueWait *obs.Counter
+	busy      *obs.Counter
 }
 
 // New creates a context with the given worker count. threads <= 0 selects
@@ -119,10 +121,15 @@ func New(threads int) *Ctx {
 		for w := 1; w < threads; w++ {
 			go func() {
 				for t := range tasks {
-					if t.queueWait != nil {
-						t.queueWait.Add(int64(time.Since(t.sent)))
+					var t0 time.Time
+					if t.busy != nil {
+						t0 = time.Now()
+						t.queueWait.Add(int64(t0.Sub(t.sent)))
 					}
 					t.fn(t.worker)
+					if t.busy != nil {
+						t.busy.Add(int64(time.Since(t0)))
+					}
 					t.wg.Done()
 				}
 			}()
@@ -187,33 +194,30 @@ func (c *Ctx) release() { atomic.StoreInt32(&c.driving, 0) }
 
 // dispatch runs fn once per worker (including the caller as worker 0) and
 // waits for all of them. With timed set (obs enabled), each worker's busy
-// time, the tasks' queue wait, and the driver's tail wait are recorded.
+// time, the tasks' queue wait, and the driver's tail wait are recorded —
+// by the worker loop and around the driver's own share, so timing wraps
+// no closure and adds no allocation.
 func (c *Ctx) dispatch(fn func(worker int), timed bool) {
-	work := fn
-	if timed {
-		work = func(worker int) {
-			t0 := time.Now()
-			fn(worker)
-			c.m.busy[worker].Add(int64(time.Since(t0)))
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(c.threads - 1)
 	for w := 1; w < c.threads; w++ {
-		t := task{fn: work, worker: w, wg: &wg}
+		t := task{fn: fn, worker: w, wg: &wg}
 		if timed {
-			t.sent, t.queueWait = time.Now(), c.m.queueWait
+			t.sent, t.queueWait, t.busy = time.Now(), c.m.queueWait, c.m.busy[w]
 		}
 		c.tasks <- t
 	}
-	work(0)
-	if timed {
-		t0 := time.Now()
+	if !timed {
+		fn(0)
 		wg.Wait()
-		c.m.tailWait.Add(int64(time.Since(t0)))
 		return
 	}
+	t0 := time.Now()
+	fn(0)
+	t1 := time.Now()
+	c.m.busy[0].Add(int64(t1.Sub(t0)))
 	wg.Wait()
+	c.m.tailWait.Add(int64(time.Since(t1)))
 }
 
 // For runs fn(i, arena) for every i in [0, n). Iterations are distributed

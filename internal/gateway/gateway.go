@@ -3,10 +3,11 @@
 // dacserve process is a throughput ceiling; the gateway turns N of them
 // into a fleet:
 //
-//   - Routing is a consistent-hash ring keyed by model name (each model's
-//     traffic concentrates on an owner replica, spilling to the next ring
-//     nodes under a bounded-load rule), over only the replicas a health
-//     state machine currently believes are ready.
+//   - Routing is a consistent-hash ring keyed by model name (an idle
+//     pool sends each model's traffic to its owner replica; a request goes
+//     to the ring candidate with the fewest requests in flight, ring order
+//     breaking ties), over only the replicas a health state machine
+//     currently believes are ready.
 //   - Health is probed actively (periodic GET /healthz + /readyz) and
 //     marked passively (transport failures on proxied requests count like
 //     failed probes). A replica that answers /readyz with 503 is draining:
@@ -30,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -53,11 +53,6 @@ type Options struct {
 	// ReviveAfter is how many consecutive ready probes bring a Down
 	// replica back. 0 selects 2.
 	ReviveAfter int
-	// LoadFactor is the bounded-load limit: a candidate replica is skipped
-	// when its in-flight count exceeds ceil(LoadFactor * (total+1) / n),
-	// the classic consistent-hashing-with-bounded-loads rule. 0 selects
-	// 1.25.
-	LoadFactor float64
 	// MaxInflight is the hard per-replica in-flight cap; when every
 	// candidate is at it, the request is shed with 503. 0 selects 256.
 	MaxInflight int
@@ -88,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReviveAfter <= 0 {
 		o.ReviveAfter = 2
-	}
-	if o.LoadFactor <= 0 {
-		o.LoadFactor = 1.25
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
@@ -295,54 +287,20 @@ func (g *Gateway) Close() {
 	<-g.done
 }
 
-// totalInflight sums in-flight requests across the pool (the bounded-load
-// denominator's numerator).
-func (g *Gateway) totalInflight() int {
-	total := 0
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for _, r := range g.replicas {
-		total += int(r.inflight.Load())
-	}
-	return total
-}
-
-// pick applies the bounded-load rule to the ring candidates for a model:
-// take the first candidate whose in-flight count is within
-// ceil(LoadFactor * (total+1) / n) — the owner almost always, the spill
-// sequence under hot-spot load — and fall back to the first candidate
-// under the hard MaxInflight cap. nil means shed: every candidate is
-// saturated. skip removes already-attempted replicas (retry).
+// pick routes to the ring candidate with the fewest requests in flight
+// among those under the hard MaxInflight cap, ring order breaking ties: an
+// idle pool sends each model to its owner, and a busy owner yields. nil
+// means shed: every candidate is saturated. skip removes an
+// already-attempted replica (retry).
 func (g *Gateway) pick(cands []*Replica, skip *Replica) *Replica {
-	if len(cands) == 0 {
-		return nil
-	}
-	total := g.totalInflight()
-	n := len(cands)
-	bound := int(math.Ceil(g.opts.LoadFactor * float64(total+1) / float64(n)))
-	if bound < 1 {
-		bound = 1
-	}
-	var fallback *Replica
+	var best *Replica
+	least := int64(g.opts.MaxInflight)
 	for _, c := range cands {
-		if c == skip {
-			continue
-		}
-		inflight := int(c.inflight.Load())
-		if inflight >= g.opts.MaxInflight {
-			continue
-		}
-		if inflight < bound {
-			return c
-		}
-		if fallback == nil {
-			fallback = c
+		if n := c.inflight.Load(); c != skip && n < least {
+			best, least = c, n
 		}
 	}
-	// Every un-skipped candidate is over the load bound; route to the
-	// first one still under the hard cap rather than shedding work the
-	// pool can absorb.
-	return fallback
+	return best
 }
 
 // SetAssignment records (or, with digest == "", clears) the advertised

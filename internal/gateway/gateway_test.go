@@ -139,6 +139,42 @@ func TestGatewayShedsWhenSaturated(t *testing.T) {
 	}
 }
 
+// Routing takes the candidate with the fewest requests in flight, ring
+// order breaking ties: an idle pool sends the model to its owner, an owner
+// with a request in flight yields to an idle replica, a tie goes back to
+// the owner, and a pool with every candidate at the cap sheds.
+func TestGatewayBusyOwnerYieldsToIdleReplica(t *testing.T) {
+	owner, other := newStub(t), newStub(t)
+	g, reps := stubGateway(t, Options{MaxInflight: 2}, owner, other)
+	g.ProbeAll(context.Background())
+	model := pickStubModel(t, g, reps[0])
+	ts := gatewayServer(t, g)
+	body := []byte(fmt.Sprintf(`{"model":%q,"input":[1]}`, model))
+
+	for _, step := range []struct {
+		name           string
+		inflight       [2]int64 // added to reps[0], reps[1] before the request
+		status         int
+		ownerN, otherN int64
+	}{
+		{"idle pool", [2]int64{0, 0}, http.StatusOK, 1, 0},
+		{"busy owner", [2]int64{1, 0}, http.StatusOK, 1, 1},
+		{"tie", [2]int64{0, 1}, http.StatusOK, 2, 1},
+		{"all at cap", [2]int64{1, 1}, http.StatusServiceUnavailable, 2, 1},
+	} {
+		reps[0].inflight.Add(step.inflight[0])
+		reps[1].inflight.Add(step.inflight[1])
+		status, out := postPredict(t, ts.URL, body)
+		if status != step.status || owner.predicts.Load() != step.ownerN || other.predicts.Load() != step.otherN {
+			t.Fatalf("%s: status %d, predicts owner/other %d/%d; want %d, %d/%d (%s)", step.name, status,
+				owner.predicts.Load(), other.predicts.Load(), step.status, step.ownerN, step.otherN, out["error"])
+		}
+	}
+	if got := g.sheds.Value(); got != 1 {
+		t.Fatalf("sheds = %d, want 1", got)
+	}
+}
+
 // An empty ring (no replica has ever probed ready) answers 503 and counts
 // no_replica, and /readyz reflects it.
 func TestGatewayNoReadyReplica(t *testing.T) {

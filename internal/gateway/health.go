@@ -66,7 +66,7 @@ const (
 )
 
 // Replica is one dacserve process behind the gateway: its address, health
-// state, in-flight request count (the bounded-load signal), and per-replica
+// state, in-flight request count (the routing signal), and per-replica
 // serving counters.
 type Replica struct {
 	// ID is the replica's stable name — the consistent-hash ring hashes it,
@@ -78,7 +78,7 @@ type Replica struct {
 	gw *Gateway
 
 	// inflight counts requests currently proxied to this replica; the
-	// bounded-load rule and the rolling-reload drain wait both read it.
+	// least-in-flight pick and the rolling-reload drain wait both read it.
 	inflight atomic.Int64
 
 	mu       sync.Mutex

@@ -28,9 +28,9 @@ func (a attemptResult) retryable() bool {
 	return a.err != nil || a.status == http.StatusTooManyRequests || a.status >= 500
 }
 
-// proxyPredict routes one predict request body across the pool: pick a
-// candidate under the bounded-load rule, forward, and on a retryable
-// failure back off once and try the next distinct candidate. Transport
+// proxyPredict routes one predict request body across the pool: pick the
+// least-in-flight candidate, forward, and on a retryable failure back off
+// once and retry on the least-in-flight of the other candidates. Transport
 // errors mark the replica passively failed. The final attempt's response
 // (or a gateway-synthesized error) is written to w, and c finished. The
 // routing and each proxied attempt get spans on c's trace, and the
@@ -117,7 +117,7 @@ func (g *Gateway) tracedAttempt(ctx context.Context, rep *Replica, body []byte, 
 
 // attempt forwards the predict body to one replica and reads the full
 // response. In-flight accounting brackets the call — it is the signal
-// bounded-load routing and drain waits read. The trace ID and client
+// least-in-flight routing and drain waits read. The trace ID and client
 // identity propagate in X-Dac-Trace (hop label a<n>) and X-Dac-Client so
 // the replica's trace and accounting line up with the gateway's.
 func (g *Gateway) attempt(ctx context.Context, rep *Replica, body []byte, traceID obs.TraceID, client string, n int) attemptResult {

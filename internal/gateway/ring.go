@@ -17,9 +17,9 @@ const vnodesPerReplica = 64
 // membership changes — a replica turning healthy, going down, starting to
 // drain, or being cordoned for a rolling reload — so routing never
 // consults health state on the hot path, it just walks the ring. Keys are
-// model names: one model's traffic concentrates on its owner replica
-// (warm caches, stable batching) and spills to the next ring nodes only
-// under the bounded-load rule.
+// model names: an idle pool sends one model's traffic to its owner replica
+// (warm caches, stable batching), and a busy owner yields to the next ring
+// node with fewer requests in flight.
 type ring struct {
 	points  []ringPoint // sorted by hash
 	members []*Replica  // distinct replicas on the ring
@@ -55,9 +55,9 @@ func buildRing(members []*Replica) *ring {
 }
 
 // candidates returns the ring's distinct replicas in ring order starting
-// at the owner of key: candidates[0] is the consistent-hash owner, the
-// rest are the spill sequence bounded-load routing and retry walk. The
-// slice is freshly allocated; callers may reorder it.
+// at the owner of key: candidates[0] is the consistent-hash owner, and
+// the order is how routing and the retry break in-flight ties. The slice
+// is freshly allocated; callers may reorder it.
 func (r *ring) candidates(key string) []*Replica {
 	if len(r.points) == 0 {
 		return nil

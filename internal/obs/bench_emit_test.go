@@ -2,22 +2,28 @@
 // pass (obs enabled) must cost at most a few percent over the same pass
 // with obs disabled, and the fully traced serving path (request tracing +
 // per-client accounting on) must cost at most the same few percent over
-// untraced serving. Lives in package obs_test so it can drive the real
-// nn/compute/serve stack (obs_test → serve → obs is cycle-free).
+// untraced serving. Each comparison is a series of short off/on pairs
+// that alternate which side runs first, and the guard reads the median
+// per-pair overhead, so host drift between pairs cancels instead of
+// landing in the difference. Lives in package obs_test so it can drive the
+// real nn/compute/serve stack (obs_test → serve → obs is cycle-free).
 package obs_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"math"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/modelio"
 	"repro/internal/nn"
@@ -34,7 +40,8 @@ import (
 var emitBench = flag.String("emit-bench", "", "write instrumentation overhead numbers (BENCH_obs.json) to this path")
 
 // maxEnabledOverheadPct is the guard: enabling the full metrics + span
-// instrumentation may cost at most this much on a batched forward pass.
+// instrumentation may cost at most this much, as the median per-pair
+// overhead of each comparison.
 const maxEnabledOverheadPct = 2.0
 
 func benchModel() (*nn.Model, *tensor.Tensor) {
@@ -48,30 +55,93 @@ func benchModel() (*nn.Model, *tensor.Tensor) {
 	return m, x
 }
 
-// forwardNsPerOp measures one forward pass at the current obs.Enable state,
-// taking the minimum over rounds to reject scheduler noise.
-func forwardNsPerOp(m *nn.Model, x *tensor.Tensor, rounds int) float64 {
-	best := math.MaxFloat64
-	for r := 0; r < rounds; r++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.Forward(x)
-			}
-		})
-		if v := float64(res.NsPerOp()); v < best {
-			best = v
-		}
+// Each side of a pair runs its operation back to back for about
+// pairWindow, and every comparison takes obsPairs pairs.
+const (
+	obsPairs   = 401
+	pairWindow = 10 * time.Millisecond
+)
+
+// opsPerSide warms op up and returns how many back-to-back calls fill
+// pairWindow (at least one).
+func opsPerSide(op func()) int {
+	op()
+	n := 0
+	for start := time.Now(); time.Since(start) < pairWindow; n++ {
+		op()
 	}
-	return best
+	return max(n, 1)
 }
 
-// trainNsPerOp measures one sharded training run (Shards > 1, single
-// process) at the current obs.Enable state, minimum over rounds. Enabling
-// obs turns on the stage machine's per-step clock reads and the per-epoch
-// span recording — including the new exchange/reduce spans — so this pair
-// of measurements guards the sharded trainer's instrumentation the same way
-// the forward-pass pair guards the layer instrumentation.
-func trainNsPerOp(rounds int) float64 {
+// nsPerOp runs op n times back to back and returns the mean wall time per
+// call.
+func nsPerOp(op func(), n int) float64 {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		op()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// pairReport is one guarded comparison: the median and quartiles of the
+// per-pair overhead (on−off)/off in percent, and each pair's off and on
+// wall time per op in ns.
+type pairReport struct {
+	MedianPct float64    `json:"median_overhead_pct"`
+	Q1Pct     float64    `json:"q1_overhead_pct"`
+	Q3Pct     float64    `json:"q3_overhead_pct"`
+	Pairs     [][2]int64 `json:"pairs_off_on_ns"`
+}
+
+// overheadPairs measures op in obsPairs off/on pairs, set switching the
+// instrumentation, with even pairs running off first and odd pairs on
+// first. The collector is off inside a pair and runs between pairs, so a
+// collection never lands in one side; what enabling obs does to
+// allocation is gated by exact counts instead (allocs_test.go). It leaves
+// the instrumentation off.
+func overheadPairs(set func(on bool), op func()) pairReport {
+	var rep pairReport
+	set(false)
+	n := opsPerSide(op)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	overheads := make([]float64, 0, obsPairs)
+	for i := 0; i < obsPairs; i++ {
+		var off, on float64
+		runtime.GC()
+		for _, side := range [2]bool{i%2 == 1, i%2 == 0} {
+			set(side)
+			if side {
+				on = nsPerOp(op, n)
+			} else {
+				off = nsPerOp(op, n)
+			}
+		}
+		rep.Pairs = append(rep.Pairs, [2]int64{int64(off), int64(on)})
+		overheads = append(overheads, (on-off)/off*100)
+	}
+	set(false)
+	sort.Float64s(overheads)
+	rep.Q1Pct, rep.MedianPct, rep.Q3Pct = quantile(overheads, 0.25), quantile(overheads, 0.5), quantile(overheads, 0.75)
+	return rep
+}
+
+// quantile interpolates the q-quantile of sorted values.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
+// trainOp returns one sharded training run (Shards > 1, single process)
+// as an operation. Enabling obs turns on the stage machine's per-step
+// clock reads and the per-epoch span recording — including the
+// exchange/reduce spans — so this pair of measurements guards the sharded
+// trainer's instrumentation the same way the forward-pass pair guards the
+// layer instrumentation.
+func trainOp() func() {
 	rng := rand.New(rand.NewSource(21))
 	n := 48
 	x := tensor.New(n, 1, 8, 8).RandN(rng, 0, 1)
@@ -79,26 +149,17 @@ func trainNsPerOp(rounds int) float64 {
 	for i := range y {
 		y[i] = i % 4
 	}
-	best := math.MaxFloat64
-	for r := 0; r < rounds; r++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := nn.NewResNet(nn.ResNetConfig{
-					InC: 1, InH: 8, InW: 8, Classes: 4,
-					Widths: []int{4, 8}, Blocks: []int{1, 1}, Seed: 22,
-				})
-				train.Run(m, x, y, train.Config{
-					Epochs: 1, BatchSize: 8, Shards: 2,
-					Optimizer: train.NewSGD(0.05, 0.9, 0),
-					Seed:      23, Threads: 1,
-				})
-			}
+	return func() {
+		m := nn.NewResNet(nn.ResNetConfig{
+			InC: 1, InH: 8, InW: 8, Classes: 4,
+			Widths: []int{4, 8}, Blocks: []int{1, 1}, Seed: 22,
 		})
-		if v := float64(res.NsPerOp()); v < best {
-			best = v
-		}
+		train.Run(m, x, y, train.Config{
+			Epochs: 1, BatchSize: 8, Shards: 2,
+			Optimizer: train.NewSGD(0.05, 0.9, 0),
+			Seed:      23, Threads: 1,
+		})
 	}
-	return best
 }
 
 // servingBench builds an in-process serving stack for the tracing-overhead
@@ -144,46 +205,31 @@ func servingBench(t *testing.T) (*serve.Server, []byte) {
 	return serve.NewServer(reg, nil), body
 }
 
-// serveNsPerOp measures one full in-process /v1/predict round trip at the
-// current tracing state, minimum over rounds.
-func serveNsPerOp(t *testing.T, h http.Handler, body []byte, rounds int) float64 {
-	best := math.MaxFloat64
-	for r := 0; r < rounds; r++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("predict status %d: %s", w.Code, w.Body.String())
-				}
-			}
-		})
-		if v := float64(res.NsPerOp()); v < best {
-			best = v
+// serveOp returns one full in-process /v1/predict round trip through h
+// as an operation.
+func serveOp(t *testing.T, h http.Handler, body []byte) func() {
+	return func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict status %d: %s", w.Code, w.Body.String())
 		}
 	}
-	return best
 }
 
 type obsBenchReport struct {
 	Threads          int     `json:"threads"`
 	Notes            string  `json:"notes"`
-	DisabledNsPerOp  float64 `json:"disabled_ns_per_op"`
-	EnabledNsPerOp   float64 `json:"enabled_ns_per_op"`
-	OverheadPct      float64 `json:"overhead_pct"`
 	GuardOverheadPct float64 `json:"guard_overhead_pct"`
-	// Serving measurement: one in-process /v1/predict round trip with
-	// request tracing + per-client accounting off (plain) vs on (traced).
-	ServePlainNsPerOp  float64 `json:"serve_plain_ns_per_op"`
-	ServeTracedNsPerOp float64 `json:"serve_traced_ns_per_op"`
-	ServeOverheadPct   float64 `json:"serve_overhead_pct"`
-	// Sharded-trainer measurement: one Shards=2 training run with the
-	// stage-machine timing (forward/backward/exchange/reduce spans) off vs
-	// on.
-	TrainPlainNsPerOp float64 `json:"train_plain_ns_per_op"`
-	TrainTimedNsPerOp float64 `json:"train_timed_ns_per_op"`
-	TrainOverheadPct  float64 `json:"train_overhead_pct"`
+	// Forward: one batched forward pass with obs disabled vs enabled.
+	Forward pairReport `json:"forward"`
+	// Serve: one in-process /v1/predict round trip with request tracing +
+	// per-client accounting off vs on.
+	Serve pairReport `json:"serve"`
+	// Train: one Shards=2 training run with the stage-machine timing
+	// (forward/backward/exchange/reduce spans) off vs on.
+	Train pairReport `json:"train"`
 }
 
 func TestEmitObsBench(t *testing.T) {
@@ -191,14 +237,7 @@ func TestEmitObsBench(t *testing.T) {
 		t.Skip("pass -emit-bench=<path> (make obs-bench) to measure instrumentation overhead")
 	}
 	m, x := benchModel()
-	const rounds = 3
-
-	obs.Enable(false)
-	disabled := forwardNsPerOp(m, x, rounds)
-
-	obs.Enable(true)
-	enabled := forwardNsPerOp(m, x, rounds)
-	obs.Enable(false)
+	forward := overheadPairs(obs.Enable, func() { m.Forward(x) })
 	obs.Default.Reset()
 
 	// Serving: the same HTTP round trip with request tracing off vs on
@@ -207,49 +246,35 @@ func TestEmitObsBench(t *testing.T) {
 	// deep per-dispatch instrumentation is a separate subsystem guarded by
 	// the forward-pass numbers above, and on a single-sample request its
 	// per-dispatch cost would swamp the per-request tracing cost.
-	api, body := servingBench(t)
-	h := api.Handler()
-	api.EnableTracing(false)
-	servePlain := serveNsPerOp(t, h, body, rounds)
-	api.EnableTracing(true)
-	serveTraced := serveNsPerOp(t, h, body, rounds)
-	api.EnableTracing(false)
+	srv, body := servingBench(t)
+	serving := overheadPairs(srv.EnableTracing, serveOp(t, srv.Handler(), body))
 
 	// Sharded trainer: the stage machine's per-step timing and per-epoch
 	// exchange/reduce span recording turn on with obs.
-	obs.Enable(false)
-	trainPlain := trainNsPerOp(rounds)
-	obs.Enable(true)
-	trainTimed := trainNsPerOp(rounds)
-	obs.Enable(false)
+	training := overheadPairs(obs.Enable, trainOp())
 	obs.Default.Reset()
 
-	overhead := (enabled - disabled) / disabled * 100
-	serveOverhead := (serveTraced - servePlain) / servePlain * 100
-	trainOverhead := (trainTimed - trainPlain) / trainPlain * 100
 	rep := obsBenchReport{
 		Threads: runtime.GOMAXPROCS(0),
-		Notes: "minimum over 3 rounds per side. The serving round trip runs " +
-			"against an engine with no flush timer (a request is flushed as " +
-			"soon as the engine is free), so it measures decode, forward, " +
-			"encode and tracing, never a batching wait.",
-		DisabledNsPerOp:    disabled,
-		EnabledNsPerOp:     enabled,
-		OverheadPct:        overhead,
-		GuardOverheadPct:   maxEnabledOverheadPct,
-		ServePlainNsPerOp:  servePlain,
-		ServeTracedNsPerOp: serveTraced,
-		ServeOverheadPct:   serveOverhead,
-		TrainPlainNsPerOp:  trainPlain,
-		TrainTimedNsPerOp:  trainTimed,
-		TrainOverheadPct:   trainOverhead,
+		Notes: fmt.Sprintf("%d off/on pairs per comparison, each side run back to back for %v; "+
+			"even pairs run off first, odd pairs on first, the collector runs between pairs, "+
+			"never inside one, and the guard reads the median per-pair overhead. The serving "+
+			"round trip runs against an engine with no flush timer, so it measures decode, "+
+			"forward, encode and tracing, never a batching wait.",
+			obsPairs, pairWindow),
+		GuardOverheadPct: maxEnabledOverheadPct,
+		Forward:          forward,
+		Serve:            serving,
+		Train:            training,
 	}
-	t.Logf("forward pass: disabled %.0f ns/op, enabled %.0f ns/op, overhead %+.2f%%",
-		disabled, enabled, overhead)
-	t.Logf("serving: plain %.0f ns/op, traced %.0f ns/op, overhead %+.2f%%",
-		servePlain, serveTraced, serveOverhead)
-	t.Logf("sharded training: plain %.0f ns/op, timed %.0f ns/op, overhead %+.2f%%",
-		trainPlain, trainTimed, trainOverhead)
+	comparisons := []struct {
+		name string
+		r    pairReport
+	}{{"enabled instrumentation", forward}, {"traced serving", serving}, {"timed sharded training", training}}
+	for _, c := range comparisons {
+		t.Logf("%s: median overhead %+.2f%% (quartiles %+.2f%%, %+.2f%%) over %d pairs",
+			c.name, c.r.MedianPct, c.r.Q1Pct, c.r.Q3Pct, len(c.r.Pairs))
+	}
 
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -260,13 +285,9 @@ func TestEmitObsBench(t *testing.T) {
 	}
 	t.Logf("wrote %s", *emitBench)
 
-	if overhead > maxEnabledOverheadPct {
-		t.Fatalf("enabled instrumentation overhead %.2f%% exceeds the %.1f%% guard", overhead, maxEnabledOverheadPct)
-	}
-	if serveOverhead > maxEnabledOverheadPct {
-		t.Fatalf("traced serving overhead %.2f%% exceeds the %.1f%% guard", serveOverhead, maxEnabledOverheadPct)
-	}
-	if trainOverhead > maxEnabledOverheadPct {
-		t.Fatalf("timed sharded-training overhead %.2f%% exceeds the %.1f%% guard", trainOverhead, maxEnabledOverheadPct)
+	for _, c := range comparisons {
+		if c.r.MedianPct > maxEnabledOverheadPct {
+			t.Errorf("%s median overhead %.2f%% exceeds the %.1f%% guard", c.name, c.r.MedianPct, maxEnabledOverheadPct)
+		}
 	}
 }

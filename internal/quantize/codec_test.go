@@ -9,14 +9,14 @@ import (
 
 // appliedFixture quantizes a real model and returns the model plus the
 // live record and its snapshot.
-func appliedFixture(t *testing.T) (*Applied, *AppliedBlob) {
+func appliedFixture(t testing.TB) (*Applied, *AppliedBlob) {
 	t.Helper()
 	m := testModel(11)
 	a := QuantizeModel(m, WeightedEntropy{}, 16)
 	return a, Snapshot(a)
 }
 
-func encodeAppliedBytes(t *testing.T, blob *AppliedBlob) []byte {
+func encodeAppliedBytes(t testing.TB, blob *AppliedBlob) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeApplied(&buf, blob); err != nil {

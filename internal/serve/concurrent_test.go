@@ -48,7 +48,7 @@ func TestConcurrentPredictBitIdenticalToSerial(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < perClient; k++ {
 					i := c*perClient + k
-					pred, err := en.Predict(inputs[i])
+					pred, err := predictOne(en, inputs[i])
 					if err != nil {
 						t.Errorf("client %d request %d: %v", c, k, err)
 						return

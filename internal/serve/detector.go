@@ -14,6 +14,16 @@ import (
 // instead of growing server memory.
 const detectHashCap = 1 << 14
 
+// The detector's thresholds. detectMinQueries is the volume floor: a
+// client is never flagged before it has spent this many prediction
+// samples. detectNovelty is the distinct-input fraction at or above which
+// a high-volume client is flagged as extraction-like; honest repeat
+// traffic sits far below it.
+const (
+	detectMinQueries = 256
+	detectNovelty    = 0.9
+)
+
 // Detector is the obs-backed extraction-pattern heuristic: it watches
 // per-client query volume and input novelty (the fraction of a client's
 // samples never seen from them before). Honest traffic is either low
@@ -23,11 +33,6 @@ const detectHashCap = 1 << 14
 // advisory — it feeds metrics and GET /detectz, it does not block (pair
 // it with a query budget for that).
 type Detector struct {
-	// minQueries is the volume floor below which nobody is flagged.
-	minQueries int
-	// novelty is the distinct-fraction threshold in [0, 1].
-	novelty float64
-
 	mu      sync.Mutex
 	clients map[string]*clientProfile
 
@@ -47,11 +52,9 @@ type clientProfile struct {
 
 func newDetector(opts Options) *Detector {
 	d := &Detector{
-		minQueries: opts.DetectMinQueries,
-		novelty:    opts.DetectNovelty,
-		clients:    map[string]*clientProfile{},
-		flagged:    obs.NewGauge(),
-		samples:    obs.NewCounter(),
+		clients: map[string]*clientProfile{},
+		flagged: obs.NewGauge(),
+		samples: obs.NewCounter(),
 	}
 	opts.Obs.RegisterGauge("serve_extract_flagged_clients", d.flagged)
 	opts.Obs.RegisterCounter("serve_extract_samples_total", d.samples)
@@ -87,7 +90,7 @@ func (d *Detector) Observe(client string, inputs [][]float64) {
 			p.hashes[hashInput(in)] = struct{}{}
 		}
 	}
-	if !p.flagged && p.queries >= d.minQueries && p.noveltyRatio() >= d.novelty {
+	if !p.flagged && p.queries >= detectMinQueries && p.noveltyRatio() >= detectNovelty {
 		p.flagged = true
 		d.flagged.Add(1)
 	}
@@ -140,7 +143,7 @@ type DetectReport struct {
 func (d *Detector) Report() DetectReport {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	rep := DetectReport{MinQueries: d.minQueries, Novelty: d.novelty}
+	rep := DetectReport{MinQueries: detectMinQueries, Novelty: detectNovelty}
 	for client, p := range d.clients {
 		rep.Clients = append(rep.Clients, ClientDetectReport{
 			Client:   client,

@@ -56,7 +56,7 @@ func TestPublishReleaseAndLoadDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := en.Predict(in)
+	pred, err := predictOne(en, in)
 	if err != nil {
 		t.Fatal(err)
 	}

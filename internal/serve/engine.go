@@ -19,52 +19,60 @@ import (
 type Prediction = api.Prediction
 
 // Timing is the engine-side breakdown for one answered request, the
-// substrate of request tracing: how long the request waited in the queue
-// before its batch flushed, the batched forward-pass wall time that
-// answered it, and the batch size it rode in. The HTTP layer folds it into
-// trace spans and the X-Dac-Server-Timing response header.
+// substrate of request tracing, taken from its worst samples: the longest
+// wait in the queue before a flush picked a sample up, the longest batched
+// forward pass that answered one, and the largest batch one rode in. The
+// HTTP layer folds it into trace spans and the X-Dac-Server-Timing
+// response header.
 type Timing struct {
 	QueueWait time.Duration
 	Compute   time.Duration
 	Batch     int
 }
 
+// request is one Submit call. Only the engine goroutine writes its
+// answers; it closes done after answering the last sample, the last of
+// the request to leave the FIFO queue. enq is when Submit enqueued it.
 type request struct {
-	input []float64
-	// enq is when Submit enqueued the request; queue wait is measured
-	// against the flush that picks it up.
-	enq  time.Time
-	resp chan result
+	inputs [][]float64
+	enq    time.Time
+	preds  []Prediction
+	tm     Timing
+	err    error
+	done   chan struct{}
 }
 
-type result struct {
-	pred Prediction
-	tm   Timing
-	err  error
+// slot is one queued sample: inputs[index] of req.
+type slot struct {
+	req   *request
+	index int
 }
 
 // Engine micro-batches concurrent prediction requests into shared forward
-// passes over one model. Requests enter a bounded queue; the engine
-// goroutine is work-conserving: it blocks for the first request, takes
-// whatever else is already queued (flushing each time MaxBatch fills), and
-// flushes the remainder at once. Batches therefore form only from requests
-// that arrived while the previous pass was computing — coalescing under
-// load, no idle wait when the engine is free. The engine goroutine is the
-// sole driver of the model's compute context.
+// passes over one model. A request's samples enter a bounded queue
+// together; the engine goroutine is work-conserving: it blocks for the
+// first sample, takes whatever else is already queued (flushing each time
+// MaxBatch fills), and flushes the remainder at once. Batches therefore
+// form only from samples that arrived while the previous pass was
+// computing — coalescing under load, no idle wait when the engine is free.
+// The engine goroutine is the sole driver of the model's compute context.
 type Engine struct {
 	model    *nn.Model
 	ctx      *compute.Ctx
 	inLen    int
 	maxBatch int
 
-	queue chan *request
+	queue chan slot
 	quit  chan struct{}
 	done  chan struct{}
 
-	// mu orders Submit enqueues against Close: a submission that saw
-	// closed == false has fully enqueued before Close proceeds, so the
-	// drain pass answers every queued request and none is stranded.
-	mu     sync.RWMutex
+	// mu serializes admission and orders it against Close: a request is
+	// checked against the queue's free slots and all its samples are sent
+	// under mu, so they sit contiguously and never block the sender (only
+	// Submit sends, so free slots can only grow meanwhile); and a
+	// submission that saw closed == false has fully enqueued before Close
+	// proceeds, so the drain pass answers every queued sample.
+	mu     sync.Mutex
 	closed bool
 
 	stats *EngineStats
@@ -86,7 +94,7 @@ func newEngine(m *nn.Model, name string, opts Options) *Engine {
 		ctx:      compute.New(opts.Threads),
 		inLen:    m.InputLen(),
 		maxBatch: opts.MaxBatch,
-		queue:    make(chan *request, opts.QueueDepth),
+		queue:    make(chan slot, opts.QueueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		stats:    newEngineStats(name, opts),
@@ -97,43 +105,44 @@ func newEngine(m *nn.Model, name string, opts Options) *Engine {
 	return e
 }
 
-// Submit enqueues one input and blocks until its batch is evaluated. It
-// fails fast with ErrQueueFull when the queue is at capacity and ErrClosed
+// Submit enqueues one request's inputs and blocks until every one of them
+// is evaluated, returning the predictions in input order and the request's
+// Timing. Admission is all-or-nothing: it fails fast with ErrQueueFull
+// when the queue has fewer free slots than the request has samples (so a
+// request larger than QueueDepth is never admitted), and with ErrClosed
 // after Close.
-func (e *Engine) Submit(input []float64) (Prediction, error) {
-	pred, _, err := e.SubmitTimed(input)
-	return pred, err
-}
-
-// SubmitTimed is Submit returning the request's timing breakdown (queue
-// wait, batched compute time, batch size) alongside the prediction — what
-// the tracing HTTP layer records as spans and reports in
-// X-Dac-Server-Timing.
-func (e *Engine) SubmitTimed(input []float64) (Prediction, Timing, error) {
-	if len(input) != e.inLen {
-		return Prediction{}, Timing{}, fmt.Errorf("serve: input has %d values, model takes %d", len(input), e.inLen)
+func (e *Engine) Submit(inputs [][]float64) ([]Prediction, Timing, error) {
+	if len(inputs) == 0 {
+		return nil, Timing{}, fmt.Errorf("serve: empty batch")
 	}
-	r := &request{input: input, enq: e.now(), resp: make(chan result, 1)}
-	e.mu.RLock()
+	for _, in := range inputs {
+		if len(in) != e.inLen {
+			return nil, Timing{}, fmt.Errorf("serve: input has %d values, model takes %d", len(in), e.inLen)
+		}
+	}
+	r := &request{inputs: inputs, enq: e.now(), preds: make([]Prediction, len(inputs)), done: make(chan struct{})}
+	e.mu.Lock()
 	if e.closed {
-		e.mu.RUnlock()
-		return Prediction{}, Timing{}, ErrClosed
+		e.mu.Unlock()
+		return nil, Timing{}, ErrClosed
 	}
-	select {
-	case e.queue <- r:
-		e.mu.RUnlock()
-		e.stats.recordAccepted()
-	default:
-		e.mu.RUnlock()
-		e.stats.recordRejected()
-		return Prediction{}, Timing{}, ErrQueueFull
+	if cap(e.queue)-len(e.queue) < len(inputs) {
+		e.mu.Unlock()
+		e.stats.recordRejected(len(inputs))
+		return nil, Timing{}, ErrQueueFull
 	}
-	res := <-r.resp
-	return res.pred, res.tm, res.err
+	// Counted before the sends: a queued sample is always an accepted one.
+	e.stats.recordAccepted(len(inputs))
+	for i := range inputs {
+		e.queue <- slot{r, i}
+	}
+	e.mu.Unlock()
+	<-r.done
+	return r.preds, r.tm, r.err
 }
 
-// QueueLen reports the current queue depth (excluding requests the engine
-// has already pulled into its pending batch).
+// QueueLen reports the current queue depth in samples (excluding samples
+// the engine has already pulled into its pending batch).
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // Stats returns a consistent snapshot of the engine's counters.
@@ -158,14 +167,14 @@ func (e *Engine) Close() {
 
 func (e *Engine) loop() {
 	defer close(e.done)
-	pending := make([]*request, 0, e.maxBatch)
+	pending := make([]slot, 0, e.maxBatch)
 	for {
 		select {
-		case r := <-e.queue:
-			pending = append(pending, r)
+		case s := <-e.queue:
+			pending = append(pending, s)
 			e.drainQueue(&pending)
 		case <-e.quit:
-			// Close: closed was set before quit closed, so no new request
+			// Close: closed was set before quit closed, so no new sample
 			// can enter the queue and its length is final.
 			e.drainQueue(&pending)
 			return
@@ -173,17 +182,17 @@ func (e *Engine) loop() {
 	}
 }
 
-// drainQueue moves every request already sitting in the queue into the
+// drainQueue moves every sample already sitting in the queue into the
 // pending batch without blocking, flushing each time the batch fills, then
-// flushes the remainder: no request waits while the engine is free.
-func (e *Engine) drainQueue(pending *[]*request) {
+// flushes the remainder: no sample waits while the engine is free.
+func (e *Engine) drainQueue(pending *[]slot) {
 	for {
 		if len(*pending) == e.maxBatch {
 			e.flush(pending)
 		}
 		select {
-		case r := <-e.queue:
-			*pending = append(*pending, r)
+		case s := <-e.queue:
+			*pending = append(*pending, s)
 		default:
 			e.flush(pending)
 			return
@@ -191,9 +200,11 @@ func (e *Engine) drainQueue(pending *[]*request) {
 	}
 }
 
-// flush evaluates the pending batch in arrival order and answers each
-// request. Per-sample results do not depend on how requests were batched.
-func (e *Engine) flush(pending *[]*request) {
+// flush evaluates the pending batch in arrival order and writes each
+// sample's answer into its request. Per-sample results do not depend on
+// how samples were batched. Logits that are not all finite fail their
+// request alone with ErrNonFinite.
+func (e *Engine) flush(pending *[]slot) {
 	batch := *pending
 	if len(batch) == 0 {
 		return
@@ -204,8 +215,8 @@ func (e *Engine) flush(pending *[]*request) {
 	}
 	flushStart := e.now()
 	inputs := make([][]float64, len(batch))
-	for i, r := range batch {
-		inputs[i] = r.input
+	for i, s := range batch {
+		inputs[i] = s.req.inputs[s.index]
 	}
 	start := e.now()
 	logits, err := e.model.EvalBatch(inputs)
@@ -214,34 +225,43 @@ func (e *Engine) flush(pending *[]*request) {
 	// stats after its answer arrives always sees its own request.
 	if err != nil {
 		e.stats.recordError(len(batch))
-		for _, r := range batch {
-			r.resp <- result{tm: timingFor(r, flushStart, lat, len(batch)), err: err}
-		}
-		return
+	} else {
+		e.stats.recordBatch(len(batch), lat)
 	}
-	e.stats.recordBatch(len(batch), lat)
-	for i, r := range batch {
-		r.resp <- result{
-			pred: Prediction{
+	for i, s := range batch {
+		r := s.req
+		// Every rider pays the full pass, which is what it waited for;
+		// queue wait is enqueue-to-flush-start, clamped at zero against
+		// clock skew by the running maximum.
+		r.tm.QueueWait = max(r.tm.QueueWait, flushStart.Sub(r.enq))
+		r.tm.Compute = max(r.tm.Compute, lat)
+		r.tm.Batch = max(r.tm.Batch, len(batch))
+		switch {
+		case err != nil:
+			r.err = err
+		case !finite(logits[i]):
+			r.err = ErrNonFinite
+		default:
+			r.preds[s.index] = Prediction{
 				Class:  argmax(logits[i]),
 				Probs:  softmax(logits[i]),
 				Logits: logits[i],
-			},
-			tm: timingFor(r, flushStart, lat, len(batch)),
+			}
+		}
+		if s.index == len(r.inputs)-1 {
+			close(r.done)
 		}
 	}
 }
 
-// timingFor derives one request's Timing from its flush: queue wait is
-// enqueue-to-flush-start (clamped at zero against clock skew), compute is
-// the whole batched forward pass — every rider pays the full pass, which
-// is what it actually waited for.
-func timingFor(r *request, flushStart time.Time, lat time.Duration, batch int) Timing {
-	qw := flushStart.Sub(r.enq)
-	if qw < 0 {
-		qw = 0
+// finite reports whether every value of v is neither NaN nor infinite.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
 	}
-	return Timing{QueueWait: qw, Compute: lat, Batch: batch}
+	return true
 }
 
 func argmax(v []float64) int {

@@ -35,7 +35,7 @@ func submitAsync(t *testing.T, e *Engine, inputs [][]float64) *sync.WaitGroup {
 		wg.Add(1)
 		go func(in []float64) {
 			defer wg.Done()
-			if _, err := e.Submit(in); err != nil {
+			if _, err := submitOne(e, in); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}(in)
@@ -61,7 +61,7 @@ func TestEngineFlushesLoneSubmitWithoutTick(t *testing.T) {
 	var pred Prediction
 	go func() {
 		var err error
-		pred, err = e.Submit(testInputs(1, m.InputLen(), 11)[0])
+		pred, err = submitOne(e, testInputs(1, m.InputLen(), 11)[0])
 		done <- err
 	}()
 	select {
@@ -123,7 +123,7 @@ func TestEngineBackpressure(t *testing.T) {
 	queued := submitAsync(t, e, testInputs(2, m.InputLen(), 13))
 	waitQueueLen(e, 2)
 	// ...and the next submission must bounce.
-	if _, err := e.Submit(testInputs(1, m.InputLen(), 14)[0]); !errors.Is(err, ErrQueueFull) {
+	if _, err := submitOne(e, testInputs(1, m.InputLen(), 14)[0]); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	if snap := e.Stats(); snap.Rejected != 1 {
@@ -153,9 +153,9 @@ func TestEngineCloseDrains(t *testing.T) {
 		close(closed)
 	}()
 	for {
-		e.mu.RLock()
+		e.mu.Lock()
 		c := e.closed
-		e.mu.RUnlock()
+		e.mu.Unlock()
 		if c {
 			break
 		}
@@ -168,7 +168,7 @@ func TestEngineCloseDrains(t *testing.T) {
 	if snap := e.Stats(); snap.Served != 3 {
 		t.Fatalf("drain served %d, want 3: %+v", snap.Served, snap)
 	}
-	if _, err := e.Submit(inputs[0]); !errors.Is(err, ErrClosed) {
+	if _, err := submitOne(e, inputs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close err = %v, want ErrClosed", err)
 	}
 	e.Close() // idempotent
@@ -179,7 +179,7 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	m := testModel(5)
 	e := newEngine(m, "test", testOpts(4, 8).withDefaults())
 	defer e.Close()
-	if _, err := e.Submit(make([]float64, m.InputLen()+1)); err == nil {
+	if _, err := submitOne(e, make([]float64, m.InputLen()+1)); err == nil {
 		t.Fatal("expected input-length error")
 	}
 }

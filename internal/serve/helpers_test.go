@@ -103,3 +103,18 @@ func fileBytes(t *testing.T, path string) []byte {
 	}
 	return b
 }
+
+// submitOne submits a single-sample request to e and returns its
+// prediction.
+func submitOne(e *Engine, in []float64) (Prediction, error) {
+	preds, _, err := e.Submit([][]float64{in})
+	if err != nil {
+		return Prediction{}, err
+	}
+	return preds[0], nil
+}
+
+// predictOne is submitOne through a registry entry.
+func predictOne(en *Entry, in []float64) (Prediction, error) {
+	return submitOne(en.engine, in)
+}

@@ -83,7 +83,7 @@ func TestRegistryHotSwapUnderFire(t *testing.T) {
 					misses.Add(1) // window between Remove and the next Load
 					continue
 				}
-				pred, err := en.Predict(in)
+				pred, err := predictOne(en, in)
 				if err != nil {
 					if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) {
 						t.Errorf("client %d: unclean error under swap: %v", c, err)

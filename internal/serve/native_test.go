@@ -39,11 +39,11 @@ func TestNativeLoadBitIdenticalPredictions(t *testing.T) {
 	}
 
 	for i, in := range testInputs(8, deq.Model().InputLen(), 102) {
-		pd, err := deq.Predict(in)
+		pd, err := predictOne(deq, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pn, err := nat.Predict(in)
+		pn, err := predictOne(nat, in)
 		if err != nil {
 			t.Fatal(err)
 		}

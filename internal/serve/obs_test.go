@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -29,7 +30,7 @@ func TestStatszSnapshotJSONShapeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := en.Predict(testInputs(1, en.Model().InputLen(), 91)[0]); err != nil {
+	if _, err := predictOne(en, testInputs(1, en.Model().InputLen(), 91)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +57,6 @@ func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 	oreg := obs.NewRegistry()
 	opts := testOpts(4, 16)
 	opts.Obs = oreg
-	opts.LatencyBuckets = []float64{0.5, 1} // exercise configurable bounds
 	r := NewRegistry(opts)
 	defer r.Close()
 	en, err := r.LoadFile("demo", path)
@@ -64,7 +64,7 @@ func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := en.Predict(testInputs(1, en.Model().InputLen(), 93)[0]); err != nil {
+	if _, err := predictOne(en, testInputs(1, en.Model().InputLen(), 93)[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,8 +77,8 @@ func TestServeMetricsLifecycleOnObsRegistry(t *testing.T) {
 		t.Fatalf("batch size hist = %+v, want count 1 over %d exact buckets", bs, opts.MaxBatch)
 	}
 	lat := snap.Histograms[`serve_batch_latency_seconds{model="demo"}`]
-	if len(lat.Bounds) != 2 || lat.Bounds[0] != 0.5 {
-		t.Fatalf("latency bounds = %v, want the configured [0.5 1]", lat.Bounds)
+	if !reflect.DeepEqual(lat.Bounds, DefaultLatencyBuckets) {
+		t.Fatalf("latency bounds = %v, want DefaultLatencyBuckets %v", lat.Bounds, DefaultLatencyBuckets)
 	}
 
 	// Hot swap: same names, fresh instances starting at zero; the old
@@ -122,7 +122,7 @@ func TestStatsDuringShutdownNoRace(t *testing.T) {
 		wg.Add(1)
 		go func(in []float64) {
 			defer wg.Done()
-			en.Predict(in) // ErrClosed for late arrivals is fine
+			predictOne(en, in) // ErrClosed for late arrivals is fine
 		}(in)
 	}
 	// Wait until at least one request is in, so the drain has work to race

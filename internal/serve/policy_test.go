@@ -113,16 +113,14 @@ func TestRegistrySetPolicy(t *testing.T) {
 }
 
 func TestDetectorFlagsNovelHighVolume(t *testing.T) {
-	opts := Options{DetectMinQueries: 16, DetectNovelty: 0.9, Obs: obs.NewRegistry()}.withDefaults()
-	opts.DetectMinQueries = 16 // withDefaults raises the floor; keep the test fast
-	d := newDetector(opts)
+	d := newDetector(Options{Obs: obs.NewRegistry()})
 
-	// The attacker: every input bit-distinct.
-	attacker := testInputs(20, 8, 1)
+	// The attacker: every input bit-distinct, past the volume floor.
+	attacker := testInputs(detectMinQueries+44, 8, 1)
 	d.Observe("mallory", attacker)
 	// The dashboard: one hot input, repeated well past the volume floor.
 	same := [][]float64{attacker[0]}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < detectMinQueries+44; i++ {
 		d.Observe("grafana", same)
 	}
 	// Low volume, fully novel: below the floor, never flagged.
@@ -142,14 +140,13 @@ func TestDetectorFlagsNovelHighVolume(t *testing.T) {
 	if byClient["grafana"].Flagged || byClient["casual"].Flagged {
 		t.Fatalf("honest clients flagged: %+v", rep.Clients)
 	}
-	if c := byClient["grafana"]; c.Distinct != 1 || c.Queries != 40 {
+	if c := byClient["grafana"]; c.Distinct != 1 || c.Queries != detectMinQueries+44 {
 		t.Fatalf("repeat client profile: %+v", c)
 	}
 }
 
 func TestDetectorClientOverflow(t *testing.T) {
-	opts := Options{DetectMinQueries: 4, DetectNovelty: 0.5, Obs: obs.NewRegistry()}.withDefaults()
-	d := newDetector(opts)
+	d := newDetector(Options{Obs: obs.NewRegistry()})
 	for i := 0; i < obs.DefaultMaxLabelValues+2; i++ {
 		d.Observe(fmt.Sprintf("client%d", i), testInputs(2, 4, int64(i+1)))
 	}

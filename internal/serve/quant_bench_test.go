@@ -83,7 +83,7 @@ func quantThroughput(tb testing.TB, path string, mode LoadMode, maxBatch, client
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				for {
-					if _, err := en.Predict(in); err == nil {
+					if _, err := predictOne(en, in); err == nil {
 						break
 					}
 				}

@@ -62,16 +62,11 @@ type Entry struct {
 	rm *modelio.ReleasedModel
 }
 
-// Predict submits one flattened input to the model's batching engine and
-// blocks for the result.
-func (en *Entry) Predict(input []float64) (Prediction, error) {
-	return en.engine.Submit(input)
-}
-
-// PredictTimed is Predict returning the engine-side timing breakdown the
-// tracing HTTP layer records (queue wait, batched compute, batch size).
-func (en *Entry) PredictTimed(input []float64) (Prediction, Timing, error) {
-	return en.engine.SubmitTimed(input)
+// Predict submits one request's flattened inputs to the model's batching
+// engine and blocks for the predictions and the request's Timing (see
+// Engine.Submit).
+func (en *Entry) Predict(inputs [][]float64) ([]Prediction, Timing, error) {
+	return en.engine.Submit(inputs)
 }
 
 // Model exposes the imported network for weight inspection (the audit
@@ -225,12 +220,7 @@ func (r *Registry) register(name string, rm *modelio.ReleasedModel, digest strin
 
 // LoadFile reads a released model file from path and registers it.
 func (r *Registry) LoadFile(name, path string) (*Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load %q: %w", name, err)
-	}
-	defer f.Close()
-	return r.Load(name, f)
+	return r.loadFileWithMode(name, path, ModeAuto)
 }
 
 // Skipped describes a directory entry LoadDir examined but did not serve.

@@ -83,7 +83,7 @@ func TestRegistryHotReload(t *testing.T) {
 
 	// The old engine was drained and closed by the swap.
 	in := testInputs(1, enB.Model().InputLen(), 40)[0]
-	if _, err := enA.Predict(in); !errors.Is(err, ErrClosed) {
+	if _, err := predictOne(enA, in); !errors.Is(err, ErrClosed) {
 		t.Fatalf("old entry err = %v, want ErrClosed", err)
 	}
 
@@ -94,7 +94,7 @@ func TestRegistryHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := enB.Predict(in)
+	pred, err := predictOne(enB, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRegistryRemoveAndClose(t *testing.T) {
 	if r.Remove("demo") {
 		t.Fatal("second Remove reported an entry")
 	}
-	if _, err := en.Predict(testInputs(1, en.Model().InputLen(), 41)[0]); !errors.Is(err, ErrClosed) {
+	if _, err := predictOne(en, testInputs(1, en.Model().InputLen(), 41)[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("removed entry err = %v, want ErrClosed", err)
 	}
 	r.Close()

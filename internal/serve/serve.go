@@ -23,10 +23,11 @@
 //
 // Each registered model owns one engine goroutine and one compute.Ctx; the
 // engine goroutine is the context's only driver (a compute.Ctx must never
-// have two). Requests enter through a bounded channel queue and are
-// answered on per-request channels. The queue bound is the backpressure
-// mechanism: when it is full, Submit fails fast with ErrQueueFull and the
-// HTTP layer answers 429 instead of letting latency grow without bound.
+// have two). A request's samples enter a bounded channel queue together,
+// and the request is answered once, when its last sample is. The queue
+// bound is the backpressure mechanism: when it lacks room for a request,
+// Submit fails fast with ErrQueueFull and the HTTP layer answers 429
+// instead of letting latency grow without bound.
 package serve
 
 import (
@@ -39,11 +40,12 @@ import (
 // Options configure a Registry and the per-model batching engines it
 // creates.
 type Options struct {
-	// MaxBatch is the largest number of requests coalesced into one forward
+	// MaxBatch is the largest number of samples coalesced into one forward
 	// pass. <= 0 selects 16.
 	MaxBatch int
-	// QueueDepth bounds each model's request queue; submissions beyond it
-	// fail fast with ErrQueueFull. <= 0 selects 256.
+	// QueueDepth bounds each model's queue in samples; a request with more
+	// samples than there are free slots fails fast with ErrQueueFull. <= 0
+	// selects 256.
 	QueueDepth int
 	// Threads is the worker count of each model engine's compute context
 	// (0 = GOMAXPROCS). Responses are bit-identical for every value.
@@ -62,18 +64,6 @@ type Options struct {
 	// /v1/models/{name}:load endpoint pull releases from it by digest.
 	// nil disables digest loads (they fail with ErrNoStore).
 	Store *artifact.Store
-	// LatencyBuckets are the per-batch forward-latency histogram bounds in
-	// seconds. nil selects DefaultLatencyBuckets.
-	LatencyBuckets []float64
-	// DetectMinQueries is the extraction detector's volume floor: a
-	// client is never flagged before it has spent this many prediction
-	// samples. <= 0 selects 256.
-	DetectMinQueries int
-	// DetectNovelty is the detector's input-novelty threshold: the
-	// distinct-input fraction at or above which a high-volume client is
-	// flagged as extraction-like. 0 selects 0.9; honest repeat traffic
-	// sits far below it.
-	DetectNovelty float64
 }
 
 func (o Options) withDefaults() Options {
@@ -86,15 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.Obs == nil {
 		o.Obs = obs.Default
 	}
-	if o.LatencyBuckets == nil {
-		o.LatencyBuckets = DefaultLatencyBuckets
-	}
-	if o.DetectMinQueries <= 0 {
-		o.DetectMinQueries = 256
-	}
-	if o.DetectNovelty == 0 {
-		o.DetectNovelty = 0.9
-	}
 	return o
 }
 
@@ -105,4 +86,7 @@ var (
 	// ErrClosed reports a submission to an engine that has been shut down
 	// (or hot-swapped away). The HTTP layer maps it to 503.
 	ErrClosed = errors.New("serve: engine closed")
+	// ErrNonFinite reports a request with a sample whose logits overflowed
+	// to ±Inf or NaN, which JSON cannot carry. The HTTP layer maps it to 400.
+	ErrNonFinite = errors.New("serve: input drives the logits out of float64 range")
 )

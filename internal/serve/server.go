@@ -6,9 +6,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/attack"
@@ -176,60 +174,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			"client %q has exhausted its %d-sample query budget for model %q", c.Client, pol.QueryBudget, req.Model)
 		return
 	}
-	// Submit every sample independently so the engine is free to coalesce
-	// them with other requests in flight; the response is all-or-nothing.
+	// The engine admits the request whole and answers it once, with its
+	// worst sample's timing: the response could not be written before the
+	// slowest queue wait and forward pass finished.
 	subStart := tr.Clock()
-	preds := make([]Prediction, len(inputs))
-	tms := make([]Timing, len(inputs))
-	errs := make([]error, len(inputs))
-	var wg sync.WaitGroup
-	for i, in := range inputs {
-		wg.Add(1)
-		go func(i int, in []float64) {
-			defer wg.Done()
-			preds[i], tms[i], errs[i] = en.PredictTimed(in)
-		}(i, in)
-	}
-	wg.Wait()
+	preds, tm, err := en.Predict(inputs)
 	subEnd := tr.Clock()
-	// The request's breakdown is the worst sample: the response could not
-	// be written before the slowest queue wait and forward pass finished.
-	var qw, cw time.Duration
-	batch := 0
-	for _, tm := range tms {
-		if tm.QueueWait > qw {
-			qw = tm.QueueWait
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			c.Fail(http.StatusTooManyRequests, api.CodeOverCapacity, "%v", err)
+		case errors.Is(err, ErrClosed):
+			c.Fail(http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
+		default:
+			c.Fail(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		}
-		if tm.Compute > cw {
-			cw = tm.Compute
-		}
-		if tm.Batch > batch {
-			batch = tm.Batch
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrQueueFull):
-				c.Fail(http.StatusTooManyRequests, api.CodeOverCapacity, "%v", err)
-			case errors.Is(err, ErrClosed):
-				c.Fail(http.StatusServiceUnavailable, api.CodeUnavailable, "%v", err)
-			default:
-				c.Fail(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-			}
-			return
-		}
+		return
 	}
 	if tr != nil {
 		tr.AddSpan("predict", subStart, subEnd.Sub(subStart))
-		tr.AddSpan("predict/queue", subStart, qw)
-		tr.AddSpan("predict/compute", subStart.Add(qw), cw)
-		tr.SetBatch(batch)
-		tr.SetQueueCompute(qw, cw)
+		tr.AddSpan("predict/queue", subStart, tm.QueueWait)
+		tr.AddSpan("predict/compute", subStart.Add(tm.QueueWait), tm.Compute)
+		tr.SetBatch(tm.Batch)
+		tr.SetQueueCompute(tm.QueueWait, tm.Compute)
 		w.Header().Set(obs.HeaderServerTiming, obs.FormatTimings([]obs.Timing{
-			{Name: "queue", Value: qw.Microseconds()},
-			{Name: "compute", Value: cw.Microseconds()},
-			{Name: "batch", Value: int64(batch)},
+			{Name: "queue", Value: tm.QueueWait.Microseconds()},
+			{Name: "compute", Value: tm.Compute.Microseconds()},
+			{Name: "batch", Value: int64(tm.Batch)},
 			{Name: "total", Value: subEnd.Sub(subStart).Microseconds()},
 		}))
 	}

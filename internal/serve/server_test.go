@@ -3,12 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/modelio"
 )
 
 // httpServer wires a registry behind httptest; correctness never depends
@@ -173,6 +181,130 @@ func TestHTTPPredictBackpressure429(t *testing.T) {
 	release()
 	wg.Wait()
 	queued.Wait()
+}
+
+// reply is one predict's answer as a client saw it.
+type reply struct {
+	status int
+	body   []byte
+}
+
+// predictAsync posts body to url's /v1/predict on its own goroutine and
+// delivers the answer (status -1 on a transport error). It never touches
+// t, so tests may call it from any goroutine.
+func predictAsync(url string, body predictRequest) <-chan reply {
+	out := make(chan reply, 1)
+	go func() {
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(url+"/v1/predict", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			out <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		out <- reply{status: resp.StatusCode, body: b}
+	}()
+	return out
+}
+
+// Admission is whole: a request with more samples than the queue has free
+// slots gets 429 at once, and none of its samples is queued or accepted.
+func TestHTTPPredictAdmitsWholeRequest(t *testing.T) {
+	path := writeReleased(t, 69, false)
+	r, ts := httpServer(t, testOpts(4, 4))
+	en, err := r.LoadFile("demo", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := en.Model().InputLen()
+	stalled, release := stallFirstFlush(en.engine)
+	var once sync.Once
+	defer once.Do(release)
+
+	first := predictAsync(ts.URL, predictRequest{Model: "demo", Input: testInputs(1, u, 70)[0]})
+	<-stalled
+	queued := predictAsync(ts.URL, predictRequest{Model: "demo", Inputs: testInputs(2, u, 71)})
+	waitQueueLen(en.engine, 2)
+	before := en.Stats()
+
+	select {
+	case rep := <-predictAsync(ts.URL, predictRequest{Model: "demo", Inputs: testInputs(3, u, 72)}):
+		if rep.status != http.StatusTooManyRequests {
+			t.Fatalf("3 samples into 2 free slots: status %d, want 429 (%s)", rep.status, rep.body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("3 samples into 2 free slots: not answered while the engine is stalled")
+	}
+	after := en.Stats()
+	if after.Accepted != before.Accepted || after.Rejected != before.Rejected+3 || en.engine.QueueLen() != 2 {
+		t.Fatalf("accepted %d -> %d, rejected %d -> %d, queue %d; want accepted unchanged, rejected +3, queue 2",
+			before.Accepted, after.Accepted, before.Rejected, after.Rejected, en.engine.QueueLen())
+	}
+	once.Do(release)
+	for _, c := range []<-chan reply{first, queued} {
+		if rep := <-c; rep.status != http.StatusOK {
+			t.Fatalf("admitted request: status %d (%s)", rep.status, rep.body)
+		}
+	}
+}
+
+// Logits that overflow float64 cannot be written as JSON: the request
+// whose input drives them out of range gets a 400 envelope, and a finite
+// request that rode in the same batch is answered normally.
+func TestHTTPPredictNonFiniteLogits400(t *testing.T) {
+	m := testModel(3)
+	m.Params()[0].Value.Data()[0] *= 1e3 // lets a ±1.7e308 input overflow the first conv
+	rm, err := modelio.Export(m, testArch(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "overflow.bin")
+	if err := modelio.Save(path, rm); err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]float64, m.InputLen())
+	for i := range huge {
+		huge[i] = math.Copysign(1.7e308, float64(i%2)-0.5)
+	}
+	logits, err := referenceModel(t, path).EvalBatch([][]float64{huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := logits[0][0]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+		t.Fatalf("precondition: offline logits %v are finite", logits[0])
+	}
+
+	r, ts := httpServer(t, testOpts(4, 16))
+	en, err := r.LoadFile("demo", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := stallFirstFlush(en.engine)
+	first := predictAsync(ts.URL, predictRequest{Model: "demo", Input: testInputs(1, m.InputLen(), 73)[0]})
+	<-stalled
+	bad := predictAsync(ts.URL, predictRequest{Model: "demo", Input: huge})
+	good := predictAsync(ts.URL, predictRequest{Model: "demo", Input: testInputs(1, m.InputLen(), 74)[0]})
+	waitQueueLen(en.engine, 2)
+	release()
+
+	rep := <-bad
+	if rep.status != http.StatusBadRequest {
+		t.Fatalf("overflowing predict: status %d, want 400 (%d-byte body %q)", rep.status, len(rep.body), rep.body)
+	}
+	if e, err := api.ParseError(rep.body); err != nil || e.Code != api.CodeBadRequest || e.TraceID == "" {
+		t.Fatalf("overflowing predict: envelope %+v (%v), want bad_request with a trace_id", e, err)
+	}
+	for _, c := range []<-chan reply{first, good} {
+		rep := <-c
+		var resp predictResponse
+		if err := json.Unmarshal(rep.body, &resp); rep.status != http.StatusOK || err != nil || len(resp.Predictions) != 1 {
+			t.Fatalf("finite predict: status %d, %v (%s)", rep.status, err, rep.body)
+		}
+	}
+	if got, want := en.Stats().BatchHist, map[int]int64{1: 1, 2: 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch histogram %v, want %v: the two requests did not share a batch", got, want)
+	}
 }
 
 func TestHTTPModelsAndHealthAndStats(t *testing.T) {

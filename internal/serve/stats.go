@@ -7,8 +7,7 @@ import (
 )
 
 // DefaultLatencyBuckets are the per-batch forward-latency histogram bounds
-// (seconds) engines use unless Options.LatencyBuckets overrides them:
-// 0.5ms doubling up to ~1s.
+// (seconds) every engine uses: 0.5ms doubling up to ~1s.
 var DefaultLatencyBuckets = obs.ExpBuckets(0.0005, 2, 12)
 
 // EngineStats tracks one model engine's serving counters on an obs
@@ -25,10 +24,10 @@ type EngineStats struct {
 	// already replaced the registration, unregister leaves it alone.
 	series map[string]any
 
-	accepted *obs.Counter // requests that made it into the queue
-	served   *obs.Counter // requests answered with a prediction
-	rejected *obs.Counter // requests fast-failed with ErrQueueFull
-	errored  *obs.Counter // requests answered with a model error
+	accepted *obs.Counter // samples that made it into the queue
+	served   *obs.Counter // samples answered by a forward pass
+	rejected *obs.Counter // samples fast-failed with ErrQueueFull
+	errored  *obs.Counter // samples answered with a model error
 
 	// batchSize has one exact bucket per size 1..MaxBatch, so the
 	// /statsz batch_hist map is reconstructed without loss.
@@ -42,10 +41,6 @@ func newEngineStats(model string, opts Options) *EngineStats {
 	if reg == nil {
 		reg = obs.Default
 	}
-	lat := opts.LatencyBuckets
-	if lat == nil {
-		lat = DefaultLatencyBuckets
-	}
 	s := &EngineStats{
 		reg:       reg,
 		series:    map[string]any{},
@@ -54,7 +49,7 @@ func newEngineStats(model string, opts Options) *EngineStats {
 		rejected:  obs.NewCounter(),
 		errored:   obs.NewCounter(),
 		batchSize: obs.NewHistogram(obs.LinearBuckets(1, 1, opts.MaxBatch)),
-		latency:   obs.NewHistogram(lat),
+		latency:   obs.NewHistogram(DefaultLatencyBuckets),
 	}
 	lbl := ""
 	if model != "" {
@@ -88,9 +83,9 @@ func (s *EngineStats) unregister() {
 	}
 }
 
-func (s *EngineStats) recordAccepted() { s.accepted.Inc() }
+func (s *EngineStats) recordAccepted(n int) { s.accepted.Add(int64(n)) }
 
-func (s *EngineStats) recordRejected() { s.rejected.Inc() }
+func (s *EngineStats) recordRejected(n int) { s.rejected.Add(int64(n)) }
 
 func (s *EngineStats) recordBatch(size int, lat time.Duration) {
 	s.served.Add(int64(size))
@@ -102,9 +97,9 @@ func (s *EngineStats) recordError(size int) { s.errored.Add(int64(size)) }
 
 // Snapshot is the JSON form of one engine's counters.
 type Snapshot struct {
-	// Accepted counts requests that entered the queue; Served of those were
-	// answered with predictions, Errored with model errors. Rejected counts
-	// backpressure fast-failures (429s).
+	// Accepted counts samples that entered the queue; Served of those were
+	// answered by a forward pass, Errored with model errors. Rejected counts
+	// the samples of backpressure fast-failures (429s).
 	Accepted int64 `json:"accepted"`
 	Served   int64 `json:"served"`
 	Errored  int64 `json:"errored,omitempty"`

@@ -138,7 +138,7 @@ func TestResumeAcrossThreadCounts(t *testing.T) {
 	}
 }
 
-func captureSmall(t *testing.T) *Checkpoint {
+func captureSmall(t testing.TB) *Checkpoint {
 	t.Helper()
 	x, y, build := convProblem()
 	m := build()
@@ -147,7 +147,7 @@ func captureSmall(t *testing.T) *Checkpoint {
 	return Capture(m, opt, 1, res.Epochs)
 }
 
-func encodeCk(t *testing.T, ck *Checkpoint) []byte {
+func encodeCk(t testing.TB, ck *Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeCheckpoint(&buf, ck); err != nil {
