@@ -21,6 +21,17 @@ race-fast:
 vet:
 	go vet ./...
 
+# The accumulation-order rule (internal/tensor/matmul.go) forbids fused
+# multiply-adds in the kernels. amd64 builds never fuse; arm64 builds fuse
+# x*y+z unless the product is converted with float64(). This cross-builds
+# everything for arm64 and fails if internal/tensor's compiled code holds
+# any fused multiply-add instruction.
+no-fma:
+	GOARCH=arm64 go vet ./...
+	GOARCH=arm64 go build ./...
+	@GOARCH=arm64 go build -gcflags='repro/internal/tensor=-S' ./internal/tensor/ 2>&1 \
+		| grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'; test $$? -eq 1 || { echo 'fused multiply-add in internal/tensor'; exit 1; }
+
 # Short fuzzing of the parsers that read bytes from another process or
 # party: the dist partial and control codecs and the session frame reader
 # (what a socket peer sends), the release-file reader (what a data holder
@@ -28,6 +39,8 @@ vet:
 # client and a replica send), the /v1/predict body (what a client sends),
 # and the artifact-store codecs for quantization records, training
 # checkpoints and attack plans and reports (what the store hands back).
+# FuzzKernels checks the matmul kernels' AVX2 and Go paths against the
+# naive reference over operands from every float class.
 # go test -fuzz takes one target per invocation, so each target gets its
 # own line and 10 s; plain go test runs only the seed corpora.
 fuzz-short:
@@ -42,6 +55,7 @@ fuzz-short:
 	go test ./internal/train/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s
 	go test ./internal/attack/ -run '^$$' -fuzz '^FuzzReadPlan$$' -fuzztime 10s
 	go test ./internal/attack/ -run '^$$' -fuzz '^FuzzReadReport$$' -fuzztime 10s
+	go test ./internal/tensor/ -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 10s
 
 # The end-to-end benchmark in bench/ is its own Go module, so ./... skips
 # it; this vets and tests it against the current sources (~7 s), so an API
@@ -55,9 +69,11 @@ bench-test:
 bench:
 	go test -run '^$$' -bench 'Conv|TrainEpoch|MatMul' -cpu 1,2,4
 
-# Blocked-vs-naive matmul kernel sweep written to BENCH_kernels.json. The
-# kernels are bit-identical by construction (the tests enforce it); this
-# records what the blocking buys.
+# Matmul kernel throughput at the release architecture's per-sample
+# convolution products (forward, dcol, dW), naive reference vs the
+# production kernels on the Go and AVX2 accum paths, written to
+# BENCH_kernels.json. The kernels are bit-identical by construction (the
+# tests enforce it); this records what the accum paths buy.
 kernels-bench:
 	go test ./internal/tensor/ -run '^TestEmitKernelsBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_kernels.json
 
@@ -102,4 +118,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet fuzz-short bench-test bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench
+.PHONY: check race race-fast vet no-fma fuzz-short bench-test bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench

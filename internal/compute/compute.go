@@ -143,6 +143,13 @@ var (
 	shared   = map[int]*Ctx{}
 )
 
+// epoch anchors the serial paths' busy timing: time.Since(epoch) reads
+// only the monotonic clock, where time.Now reads the wall clock too, so a
+// timed serial call costs two monotonic reads instead of three clock
+// reads. Layer passes make a serial call per layer, so this cost is a
+// share of every timed pass.
+var epoch = time.Now()
+
 // Get returns a process-shared context for the given worker count
 // (threads <= 0 selects runtime.GOMAXPROCS(0) at call time). Shared
 // contexts are cached by resolved count and never closed; use New for a
@@ -237,9 +244,9 @@ func (c *Ctx) For(n int, fn func(i int, a *Arena)) {
 		c.m.items.Add(int64(n))
 	}
 	if c.threads == 1 || n == 1 {
-		var t0 time.Time
+		var t0 time.Duration
 		if timed {
-			t0 = time.Now()
+			t0 = time.Since(epoch)
 		}
 		a := c.arenas[0]
 		for i := 0; i < n; i++ {
@@ -247,7 +254,7 @@ func (c *Ctx) For(n int, fn func(i int, a *Arena)) {
 			fn(i, a)
 		}
 		if timed {
-			c.m.busy[0].Add(int64(time.Since(t0)))
+			c.m.busy[0].Add(int64(time.Since(epoch) - t0))
 		}
 		return
 	}
@@ -286,13 +293,13 @@ func (c *Ctx) ForChunks(n int, fn func(lo, hi int)) {
 		chunks = n
 	}
 	if chunks == 1 {
-		var t0 time.Time
+		var t0 time.Duration
 		if timed {
-			t0 = time.Now()
+			t0 = time.Since(epoch)
 		}
 		fn(0, n)
 		if timed {
-			c.m.busy[0].Add(int64(time.Since(t0)))
+			c.m.busy[0].Add(int64(time.Since(epoch) - t0))
 		}
 		return
 	}

@@ -11,18 +11,20 @@ import (
 // Conv2D is a 2-D convolution over NCHW batches with uniform stride and
 // zero padding. Weights are stored (outC, inC*kh*kw) so the forward pass is
 // a single matmul against the im2col patch matrix per sample. The batch is
-// sharded across the execution context's workers; training-mode im2col
-// matrices persist in a layer-owned cache for Backward, while eval-mode
-// scratch comes from the per-worker arenas.
+// sharded across the execution context's workers, and every patch matrix
+// is per-sample scratch from the worker arenas: Backward rebuilds the
+// transposed patches from the cached input rather than keeping the forward
+// pass's.
 type Conv2D struct {
 	name    string
 	Dims    tensor.ConvDims
 	W, B    *Param
 	wview   tensor.Weights // eval weight view; defaults to aliasing W
 	lastIn  *tensor.Tensor
-	cols    []float64 // cached im2col matrices for the last training batch
-	dwPart  []float64 // per-sample dW partials, reduced in sample order
-	dbPart  []float64 // per-sample db partials, reduced in sample order
+	rowRuns tensor.Runs // W's row runs, scanned once per forward pass
+	colRuns tensor.Runs // W's column runs, scanned once per backward pass
+	dwPart  []float64   // per-sample dW partials, reduced in sample order
+	dbPart  []float64   // per-sample db partials, reduced in sample order
 	lastN   int
 	useBias bool
 }
@@ -62,10 +64,6 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 	colSize := c.Dims.ColRows * c.Dims.Cols
 	if train {
 		requireDenseForTrain(c.name, c.wview)
-		if cap(c.cols) < n*colSize {
-			c.cols = make([]float64, n*colSize)
-		}
-		c.cols = c.cols[:n*colSize]
 		c.lastIn = x
 		c.lastN = n
 	}
@@ -73,21 +71,17 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 	xd := x.Data()
 	od := out.Data()
 	wv := c.wview
+	c.rowRuns.ScanRows(wv, c.Dims.OutC, c.Dims.ColRows)
 	var bd []float64
 	if c.useBias {
 		bd = c.B.Value.Data()
 	}
 	spatial := c.Dims.Cols
 	ctx.For(n, func(i int, a *compute.Arena) {
-		var col []float64
-		if train {
-			col = c.cols[i*colSize : (i+1)*colSize]
-		} else {
-			col = a.Floats(colSize)
-		}
+		col := a.Floats(colSize)
 		tensor.Im2Col(c.Dims, xd[i*c.Dims.InElems:(i+1)*c.Dims.InElems], col)
 		oSample := od[i*c.Dims.OutElems : (i+1)*c.Dims.OutElems]
-		tensor.MatMulWSlice(oSample, wv, col, c.Dims.OutC, c.Dims.ColRows, spatial)
+		tensor.MatMulWSlice(oSample, wv, &c.rowRuns, col, c.Dims.OutC, c.Dims.ColRows, spatial)
 		if bd != nil {
 			for ch := 0; ch < c.Dims.OutC; ch++ {
 				bv := bd[ch]
@@ -111,12 +105,14 @@ func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor 
 	}
 	n := c.lastN
 	colSize := c.Dims.ColRows * c.Dims.Cols
+	xd := c.lastIn.Data()
 	gd := grad.Data()
 	dx := tensor.New(n, c.Dims.InC, c.Dims.InH, c.Dims.InW)
 	dxd := dx.Data()
 	spatial := c.Dims.Cols
 	wSize := c.Dims.OutC * c.Dims.ColRows
 	wd := c.W.Value.Data()
+	c.colRuns.ScanCols(wd, c.Dims.OutC, c.Dims.ColRows)
 	if cap(c.dwPart) < n*wSize {
 		c.dwPart = make([]float64, n*wSize)
 	}
@@ -129,12 +125,14 @@ func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor 
 	}
 	ctx.For(n, func(i int, a *compute.Arena) {
 		gSample := gd[i*c.Dims.OutElems : (i+1)*c.Dims.OutElems]
-		col := c.cols[i*colSize : (i+1)*colSize]
-		// dW_i = g·colᵀ : (outC,cols)·(cols,colRows)
-		tensor.MatMulTSlice(c.dwPart[i*wSize:(i+1)*wSize], gSample, col, c.Dims.OutC, spatial, c.Dims.ColRows)
+		// dW_i = g·colᵀ : (outC,cols)·(cols,colRows) over every term,
+		// with colᵀ rebuilt from the cached input.
+		colT := a.Floats(colSize)
+		tensor.Im2Row(c.Dims, xd[i*c.Dims.InElems:(i+1)*c.Dims.InElems], colT)
+		tensor.MatMulNoSkipSlice(c.dwPart[i*wSize:(i+1)*wSize], gSample, colT, c.Dims.OutC, spatial, c.Dims.ColRows)
 		// dcol = Wᵀ·g : (colRows,outC)·(outC,cols)
 		dcol := a.Floats(colSize)
-		tensor.TMatMulSlice(dcol, wd, gSample, c.Dims.OutC, c.Dims.ColRows, spatial)
+		tensor.TMatMulSlice(dcol, wd, &c.colRuns, gSample, c.Dims.OutC, c.Dims.ColRows, spatial)
 		tensor.Col2Im(c.Dims, dcol, dxd[i*c.Dims.InElems:(i+1)*c.Dims.InElems])
 		if c.useBias {
 			for ch := 0; ch < c.Dims.OutC; ch++ {

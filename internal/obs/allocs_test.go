@@ -7,9 +7,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/gateway"
+	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -87,6 +90,32 @@ func TestPredictAllocs(t *testing.T) {
 	}
 }
 
+// warmArenas grows every worker's arena to the forward pass's largest
+// per-sample scratch, the widest convolution's patch matrix. The pool hands
+// out samples dynamically, so a forward pass alone may leave a worker that
+// ran no sample of that layer to grow its arena inside a counted run. Here
+// each worker runs exactly one callback of each For (the callbacks wait for
+// one another), the first For's request overflows the arena and the second
+// For's Reset grows it.
+func warmArenas(m *nn.Model) {
+	floats := 0
+	nn.Walk(m.Net, func(l nn.Layer) {
+		if c, ok := l.(*nn.Conv2D); ok {
+			floats = max(floats, c.Dims.ColRows*c.Dims.Cols)
+		}
+	})
+	ctx := m.Ctx()
+	for pass := 0; pass < 2; pass++ {
+		var started sync.WaitGroup
+		started.Add(ctx.Threads())
+		ctx.For(ctx.Threads(), func(_ int, a *compute.Arena) {
+			started.Done()
+			started.Wait()
+			a.Floats(floats)
+		})
+	}
+}
+
 // Enabling obs adds no heap allocation to a forward pass. At two threads
 // the pass takes the pool's parallel dispatch even on a one-core host,
 // which is where per-dispatch timing could allocate. The collector stays
@@ -94,6 +123,7 @@ func TestPredictAllocs(t *testing.T) {
 func TestObsForwardAddsNoAllocs(t *testing.T) {
 	m, x := benchModel()
 	m.SetThreads(2)
+	warmArenas(m)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	count := func(on bool) float64 {
 		obs.Enable(on)

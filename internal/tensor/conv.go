@@ -36,40 +36,98 @@ func NewConvDims(inC, inH, inW, outC, kh, kw, stride, pad int) ConvDims {
 	return d
 }
 
+// validRange returns the output positions [lo, hi) of one axis whose
+// input coordinate o*stride - pad + k lies inside [0, in).
+func validRange(out, in, stride, pad, k int) (lo, hi int) {
+	if pad > k {
+		lo = (pad - k + stride - 1) / stride
+	}
+	hi = 0
+	if last := in - 1 + pad - k; last >= 0 {
+		hi = min(last/stride+1, out)
+	}
+	return min(lo, hi), hi
+}
+
 // Im2Col expands one NCHW sample (flattened in src, length d.InElems) into a
 // (ColRows × Cols) patch matrix written into dst (length ColRows*Cols).
 // Column j holds the receptive field of output pixel j, channel-major.
+// Each kernel position's valid output range is found once; the interior is
+// copied (stride 1) or gathered, and only the padded edges are zeroed.
 func Im2Col(d ConvDims, src, dst []float64) {
 	if len(src) != d.InElems || len(dst) != d.ColRows*d.Cols {
 		panic(fmt.Sprintf("tensor: Im2Col buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.InElems, d.ColRows*d.Cols))
 	}
-	cols := d.Cols
-	idx := 0
+	s := d.Stride
+	row := dst
 	for c := 0; c < d.InC; c++ {
-		chBase := c * d.InH * d.InW
+		ch := src[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
 		for ky := 0; ky < d.KH; ky++ {
+			oy0, oy1 := validRange(d.OutH, d.InH, s, d.Pad, ky)
 			for kx := 0; kx < d.KW; kx++ {
-				row := dst[idx*cols : (idx+1)*cols]
-				idx++
-				j := 0
+				ox0, ox1 := validRange(d.OutW, d.InW, s, d.Pad, kx)
+				oyEnd := oy1
+				if ox0 == ox1 {
+					oyEnd = oy0
+				}
+				clear(row[:oy0*d.OutW])
+				for oy := oy0; oy < oyEnd; oy++ {
+					seg := row[oy*d.OutW : (oy+1)*d.OutW]
+					// in[0] is the input under output column ox0.
+					in := ch[(oy*s-d.Pad+ky)*d.InW+ox0*s-d.Pad+kx:]
+					clear(seg[:ox0])
+					if s == 1 {
+						copy(seg[ox0:ox1], in)
+					} else {
+						for ox := ox0; ox < ox1; ox++ {
+							seg[ox] = in[(ox-ox0)*s]
+						}
+					}
+					clear(seg[ox1:])
+				}
+				clear(row[oyEnd*d.OutW : d.Cols])
+				row = row[d.Cols:]
+			}
+		}
+	}
+}
+
+// Im2Row writes the transpose of Im2Col's patch matrix, (Cols × ColRows):
+// row j holds output pixel j's receptive field, channel-major. It walks
+// the input as Im2Col does, writing each kernel position down a column of
+// dst.
+func Im2Row(d ConvDims, src, dst []float64) {
+	if len(src) != d.InElems || len(dst) != d.ColRows*d.Cols {
+		panic(fmt.Sprintf("tensor: Im2Row buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.InElems, d.ColRows*d.Cols))
+	}
+	s, cr := d.Stride, d.ColRows
+	r := 0
+	for c := 0; c < d.InC; c++ {
+		ch := src[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
+		for ky := 0; ky < d.KH; ky++ {
+			oy0, oy1 := validRange(d.OutH, d.InH, s, d.Pad, ky)
+			for kx := 0; kx < d.KW; kx++ {
+				ox0, ox1 := validRange(d.OutW, d.InW, s, d.Pad, kx)
+				col := dst[r:]
+				r++
 				for oy := 0; oy < d.OutH; oy++ {
-					iy := oy*d.Stride - d.Pad + ky
-					if iy < 0 || iy >= d.InH {
+					out := col[oy*d.OutW*cr:]
+					if oy < oy0 || oy >= oy1 || ox0 == ox1 {
 						for ox := 0; ox < d.OutW; ox++ {
-							row[j] = 0
-							j++
+							out[ox*cr] = 0
 						}
 						continue
 					}
-					rowBase := chBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride - d.Pad + kx
-						if ix < 0 || ix >= d.InW {
-							row[j] = 0
-						} else {
-							row[j] = src[rowBase+ix]
-						}
-						j++
+					// in[0] is the input under output column ox0.
+					in := ch[(oy*s-d.Pad+ky)*d.InW+ox0*s-d.Pad+kx:]
+					for ox := 0; ox < ox0; ox++ {
+						out[ox*cr] = 0
+					}
+					for ox := ox0; ox < ox1; ox++ {
+						out[ox*cr] = in[(ox-ox0)*s]
+					}
+					for ox := ox1; ox < d.OutW; ox++ {
+						out[ox*cr] = 0
 					}
 				}
 			}
@@ -79,38 +137,31 @@ func Im2Col(d ConvDims, src, dst []float64) {
 
 // Col2Im scatters a (ColRows × Cols) patch-gradient matrix back into an
 // input-gradient buffer dst (length d.InElems), accumulating overlaps.
-// dst is zeroed first.
+// dst is zeroed first. Kernel positions are visited in (c, ky, kx) order
+// and, within one, each dst element receives at most one term, so every
+// element takes its terms in (c, ky, kx) order.
 func Col2Im(d ConvDims, src, dst []float64) {
 	if len(dst) != d.InElems || len(src) != d.ColRows*d.Cols {
 		panic(fmt.Sprintf("tensor: Col2Im buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.ColRows*d.Cols, d.InElems))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	cols := d.Cols
-	idx := 0
+	clear(dst)
+	s := d.Stride
+	row := src
 	for c := 0; c < d.InC; c++ {
-		chBase := c * d.InH * d.InW
+		ch := dst[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
 		for ky := 0; ky < d.KH; ky++ {
+			oy0, oy1 := validRange(d.OutH, d.InH, s, d.Pad, ky)
 			for kx := 0; kx < d.KW; kx++ {
-				row := src[idx*cols : (idx+1)*cols]
-				idx++
-				j := 0
-				for oy := 0; oy < d.OutH; oy++ {
-					iy := oy*d.Stride - d.Pad + ky
-					if iy < 0 || iy >= d.InH {
-						j += d.OutW
-						continue
-					}
-					rowBase := chBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride - d.Pad + kx
-						if ix >= 0 && ix < d.InW {
-							dst[rowBase+ix] += row[j]
-						}
-						j++
+				ox0, ox1 := validRange(d.OutW, d.InW, s, d.Pad, kx)
+				for oy := oy0; oy < oy1 && ox0 < ox1; oy++ {
+					seg := row[oy*d.OutW+ox0 : oy*d.OutW+ox1]
+					// out[0] is the input under output column ox0.
+					out := ch[(oy*s-d.Pad+ky)*d.InW+ox0*s-d.Pad+kx:]
+					for j, v := range seg {
+						out[j*s] += v
 					}
 				}
+				row = row[d.Cols:]
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func (t *Tensor) Scale(a float64) *Tensor {
 func (t *Tensor) AddScaled(a float64, o *Tensor) *Tensor {
 	checkSameLen("AddScaled", t, o)
 	for i, v := range o.data {
-		t.data[i] += a * v
+		t.data[i] += float64(a * v)
 	}
 	return t
 }
@@ -84,7 +84,7 @@ func (t *Tensor) Std() float64 {
 	ss := 0.0
 	for _, v := range t.data {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n))
 }
@@ -122,7 +122,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	checkSameLen("Dot", t, o)
 	s := 0.0
 	for i, v := range t.data {
-		s += v * o.data[i]
+		s += float64(v * o.data[i])
 	}
 	return s
 }

@@ -8,7 +8,7 @@ import (
 // RandN fills t with samples from N(mean, std²) drawn from rng.
 func (t *Tensor) RandN(rng *rand.Rand, mean, std float64) *Tensor {
 	for i := range t.data {
-		t.data[i] = rng.NormFloat64()*std + mean
+		t.data[i] = float64(rng.NormFloat64()*std) + mean
 	}
 	return t
 }
@@ -16,7 +16,7 @@ func (t *Tensor) RandN(rng *rand.Rand, mean, std float64) *Tensor {
 // RandU fills t with samples uniform in [lo, hi).
 func (t *Tensor) RandU(rng *rand.Rand, lo, hi float64) *Tensor {
 	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
+		t.data[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return t
 }

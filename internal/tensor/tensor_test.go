@@ -233,7 +233,9 @@ func TestMatMulTAndTMatMulAgreeWithTranspose(t *testing.T) {
 	c := New(5, 3).RandN(rng, 0, 1).Data()
 	d := New(5, 4).RandN(rng, 0, 1).Data()
 	got2 := make([]float64, 3*4)
-	TMatMulSlice(got2, c, d, 5, 3, 4)
+	var r Runs
+	r.ScanCols(c, 5, 3)
+	TMatMulSlice(got2, c, &r, d, 5, 3, 4)
 	wantClose(t, got2, mm(transpose(c, 5, 3), d, 3, 5, 4), 1e-12)
 }
 

@@ -88,17 +88,20 @@ func (w Weights) Materialize(dst []float64) {
 
 // MatMulWSlice computes dst = W·b for W (m×k) in view form and b (k×n) —
 // the convolution forward shape (W is the kernel matrix, b the im2col patch
-// matrix). Bit-identical to MatMulSlice over the dense values.
-func MatMulWSlice(dst []float64, w Weights, b []float64, m, k, n int) {
+// matrix). r holds W's row runs (Runs.ScanRows), found once for every
+// product by the same weights. Bit-identical to MatMulSlice over the dense
+// values.
+func MatMulWSlice(dst []float64, w Weights, r *Runs, b []float64, m, k, n int) {
 	if w.Len() != m*k {
 		panic(fmt.Sprintf("tensor: MatMulWSlice weight view has %d elements, want %d", w.Len(), m*k))
 	}
+	checkSlices("MatMulWSlice", dst, b, b, m*n, k*n, k*n)
+	checkRuns("MatMulWSlice", r, m, k)
 	if w.IsDense() {
-		MatMulSlice(dst, w.dense, b, m, k, n)
+		matmulRuns(dst, w.dense, r, b, m, k, n)
 		return
 	}
-	checkSlices("MatMulWSlice", dst, b, b, m*n, k*n, k*n)
-	lutMatMul(dst, w.lut, w.idx, b, m, k, n)
+	lutMatMul(dst, w.lut, w.idx, r, b, m, k, n)
 }
 
 // MatMulTWSlice computes dst = a·Wᵀ for a (m×k) and W (n×k) in view form —
@@ -116,48 +119,27 @@ func MatMulTWSlice(dst, a []float64, w Weights, m, k, n int) {
 	lutMatMulT(dst, a, w.lut, w.idx, m, k, n)
 }
 
-// lutMatMul computes dst = W·b where W[i][p] = lut[idx[i*k+p]]. Structure
-// and op order mirror matmulBlocked exactly; the level lookup happens once
-// per (row, k-term), amortized over the n-wide inner sweep, so the codebook
-// indirection costs ~nothing on the conv path.
-func lutMatMul(dst, lut []float64, idx []uint8, b []float64, m, k, n int) {
-	for i := range dst {
-		dst[i] = 0
-	}
+// lutMatMul computes dst = W·b where W[i][p] = lut[idx[i*k+p]] and r holds
+// W's row runs. Each row is dequantized into a stack buffer, a chunk at a
+// time, and multiplied from there as matmulRuns multiplies a dense row. A
+// run split at a chunk boundary becomes two accum calls over the same
+// chain, so the terms and their order are matmulRuns' exactly.
+func lutMatMul(dst, lut []float64, idx []uint8, r *Runs, b []float64, m, k, n int) {
+	var row [256]float64
+	clear(dst)
 	for i := 0; i < m; i++ {
-		irow := idx[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := lut[irow[p]], lut[irow[p+1]], lut[irow[p+2]], lut[irow[p+3]]
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				for q := p; q < p+4; q++ {
-					if av := lut[irow[q]]; av != 0 {
-						axpyRow(drow, b[q*n:(q+1)*n], av)
-					}
+		irow := idx[i*k : (i+1)*k]
+		for c0 := 0; c0 < k; c0 += len(row) {
+			c1 := min(c0+len(row), k)
+			for p, x := range irow[c0:c1] {
+				row[p] = lut[x]
+			}
+			for s := r.off[i]; s < r.off[i+1]; s += 2 {
+				p, q := max(r.span[s], c0), min(r.span[s+1], c1)
+				if p < q {
+					accum(drow, row[p-c0:], b[p*n:], q-p, 1, n)
 				}
-				continue
-			}
-			b0 := b[p*n : (p+1)*n]
-			b1 := b[(p+1)*n : (p+2)*n]
-			b2 := b[(p+2)*n : (p+3)*n]
-			b3 := b[(p+3)*n : (p+4)*n]
-			for j := range drow {
-				v := drow[j]
-				t0 := a0 * b0[j]
-				v += t0
-				t1 := a1 * b1[j]
-				v += t1
-				t2 := a2 * b2[j]
-				v += t2
-				t3 := a3 * b3[j]
-				v += t3
-				drow[j] = v
-			}
-		}
-		for ; p < k; p++ {
-			if av := lut[irow[p]]; av != 0 {
-				axpyRow(drow, b[p*n:(p+1)*n], av)
 			}
 		}
 	}
@@ -177,14 +159,10 @@ func lutMatMulT(dst, a, lut []float64, idx []uint8, m, k, n int) {
 			i3 := idx[(j+3)*k : (j+4)*k]
 			var s0, s1, s2, s3 float64
 			for p, av := range arow {
-				t0 := av * lut[i0[p]]
-				s0 += t0
-				t1 := av * lut[i1[p]]
-				s1 += t1
-				t2 := av * lut[i2[p]]
-				s2 += t2
-				t3 := av * lut[i3[p]]
-				s3 += t3
+				s0 += float64(av * lut[i0[p]])
+				s1 += float64(av * lut[i1[p]])
+				s2 += float64(av * lut[i2[p]])
+				s3 += float64(av * lut[i3[p]])
 			}
 			drow[j] = s0
 			drow[j+1] = s1
@@ -195,8 +173,7 @@ func lutMatMulT(dst, a, lut []float64, idx []uint8, m, k, n int) {
 			irow := idx[j*k : (j+1)*k]
 			s := 0.0
 			for p, av := range arow {
-				t := av * lut[irow[p]]
-				s += t
+				s += float64(av * lut[irow[p]])
 			}
 			drow[j] = s
 		}
