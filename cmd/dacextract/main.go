@@ -13,9 +13,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +51,11 @@ func main() {
 	if *traceOut != "" {
 		obs.Enable(true)
 		tracer = obs.NewTracer()
-		defer writeTrace(*traceOut, tracer)
+		defer func() {
+			if err := tracer.WriteFile(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "dacextract: trace-out:", err)
+			}
+		}()
 	}
 
 	var store *artifact.Store
@@ -117,16 +123,14 @@ func main() {
 	}
 	var recon []*img.Image
 	if store != nil {
-		if rc, err := store.Get("report", key); err == nil {
-			rep, rerr := attack.ReadReport(rc)
-			rc.Close()
-			if rerr == nil {
-				recon = rep.Recon
-				fmt.Println("cache: extraction served from store")
-			} else {
-				fmt.Fprintf(os.Stderr, "dacextract: cached report unusable, re-extracting: %v\n", rerr)
-				store.Delete("report", key)
-			}
+		rep, err := artifact.Load(store, "report", key, attack.ReadReport)
+		switch {
+		case err == nil:
+			recon = rep.Recon
+			fmt.Println("cache: extraction served from store")
+		case !errors.Is(err, fs.ErrNotExist):
+			fmt.Fprintf(os.Stderr, "dacextract: cached report unusable, re-extracting: %v\n", err)
+			store.Delete("report", key)
 		}
 	}
 	if recon == nil {
@@ -242,22 +246,6 @@ func clampAll(images []*img.Image) []*img.Image {
 		out[i] = im.Clone().Clamp()
 	}
 	return out
-}
-
-// writeTrace renders the span-tree timing report to path ("-" = stderr).
-func writeTrace(path string, tr *obs.Tracer) {
-	if path == "-" {
-		tr.WriteReport(os.Stderr)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dacextract: trace-out: %v\n", err)
-		return
-	}
-	defer f.Close()
-	tr.WriteReport(f)
-	fmt.Fprintf(os.Stderr, "wrote phase trace to %s\n", path)
 }
 
 func fatal(err error) {

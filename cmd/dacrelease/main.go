@@ -7,23 +7,18 @@
 //
 // With -truth, the ground-truth encoding targets are also saved as PGM
 // files so the extraction can be scored afterwards (evaluation aid only;
-// the adversary never sees them). With -quantized-out, the bare
-// quantization record (codebooks plus per-weight indices, DACQAP1) is also
-// written next to the release — the standalone artifact quantization
-// tooling consumes; it is not servable on its own (dacserve skips it) since
-// it carries no architecture or batch-norm state. With -store, the release
-// is additionally published into an artifact store under its content
-// digest, where a dacserve/dacgateway fleet pulls it from — every replica
-// that loads the digest provably serves byte-identical weights.
+// the adversary never sees them). With -store, the release is additionally
+// published into an artifact store under its content digest, where a
+// dacserve/dacgateway fleet pulls it from — every replica that loads the
+// digest provably serves byte-identical weights.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-
-	"io"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -31,14 +26,12 @@ import (
 	"repro/internal/dist"
 	"repro/internal/modelio"
 	"repro/internal/obs"
-	"repro/internal/quantize"
 	"repro/internal/serve"
 )
 
 func main() {
 	modelPath := flag.String("model", "released.bin", "output model file")
 	storeDir := flag.String("store", "", "artifact store to also publish the release into, keyed by content digest (dacserve replicas pull it with -pull / :load)")
-	quantOut := flag.String("quantized-out", "", "optional path for the bare quantization record (DACQAP1: codebooks + indices, no architecture)")
 	truthDir := flag.String("truth", "", "optional directory for ground-truth target PGMs")
 	lambda := flag.Float64("lambda", 10, "correlation rate for the encoding group")
 	bits := flag.Int("bits", 4, "quantization bit width")
@@ -68,7 +61,11 @@ func main() {
 	if *traceOut != "" {
 		obs.Enable(true)
 		tracer = obs.NewTracer()
-		defer writeTrace(*traceOut, tracer)
+		defer func() {
+			if err := tracer.WriteFile(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "dacrelease: trace-out:", err)
+			}
+		}()
 	}
 
 	var store *artifact.Store
@@ -133,16 +130,6 @@ func main() {
 		fmt.Printf("published release to %s (digest %s)\n", *storeDir, digest)
 	}
 
-	if *quantOut != "" {
-		if res.Applied == nil {
-			fatal(fmt.Errorf("-quantized-out: run produced no quantization record"))
-		}
-		if err := writeQuantRecord(*quantOut, res.Applied); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote quantization record to %s\n", *quantOut)
-	}
-
 	if *truthDir != "" {
 		if err := os.MkdirAll(*truthDir, 0o755); err != nil {
 			fatal(err)
@@ -159,36 +146,6 @@ func main() {
 	if err := fleet.Wait(); err != nil {
 		fatal(err)
 	}
-}
-
-// writeQuantRecord encodes the run's quantization state as a standalone
-// DACQAP1 file next to the release.
-func writeQuantRecord(path string, a *quantize.Applied) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := quantize.EncodeApplied(f, quantize.Snapshot(a)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTrace renders the span-tree timing report to path ("-" = stderr).
-func writeTrace(path string, tr *obs.Tracer) {
-	if path == "-" {
-		tr.WriteReport(os.Stderr)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dacrelease: trace-out: %v\n", err)
-		return
-	}
-	defer f.Close()
-	tr.WriteReport(f)
-	fmt.Fprintf(os.Stderr, "wrote phase trace to %s\n", path)
 }
 
 func fatal(err error) {

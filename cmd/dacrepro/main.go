@@ -86,7 +86,11 @@ func main() {
 	if *traceOut != "" {
 		obs.Enable(true)
 		env.Trace = obs.NewTracer()
-		defer writeTrace(*traceOut, env.Trace)
+		defer func() {
+			if err := env.Trace.WriteFile(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "dacrepro: trace-out:", err)
+			}
+		}()
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -131,22 +135,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dacrepro: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// writeTrace renders the span-tree timing report to path ("-" = stderr).
-func writeTrace(path string, tr *obs.Tracer) {
-	if path == "-" {
-		tr.WriteReport(os.Stderr)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dacrepro: trace-out: %v\n", err)
-		return
-	}
-	defer f.Close()
-	tr.WriteReport(f)
-	fmt.Fprintf(os.Stderr, "wrote phase trace to %s\n", path)
 }
 
 func runAblations(env *experiments.Env) {

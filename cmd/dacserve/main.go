@@ -10,13 +10,13 @@
 //	curl -X POST localhost:8080/v1/models/prod:audit
 //	curl localhost:8080/metricsz        # Prometheus text exposition
 //
-// -models dir sniffs every file in dir by magic header and serves each
-// released model under its file name (extension stripped); non-model files
-// and bare quantization records are reported and skipped, so one directory
-// can mix full-precision and quantized releases. -native serves quantized
-// releases codebook-native: forward passes read the released codebooks and
-// uint8 indices through LUT kernels instead of materialized float weights —
-// bit-identical predictions, strictly lower resident memory.
+// -models dir serves every released model in dir, recognized by its magic
+// header, under its file name (extension stripped); every other file is
+// reported and skipped, so one directory can mix full-precision and
+// quantized releases. -native serves quantized releases codebook-native:
+// forward passes read the released codebooks and uint8 indices through LUT
+// kernels instead of materialized float weights — bit-identical
+// predictions, strictly lower resident memory.
 //
 // -pprof additionally exposes net/http/pprof under /debug/pprof/, and -obs
 // turns on the deep runtime instrumentation (compute pool timings). Every

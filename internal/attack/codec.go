@@ -1,20 +1,17 @@
 package attack
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/artifact"
 	"repro/internal/img"
 )
 
 // Artifact codecs for the attack-side pipeline stages: the encoding plan
 // the pre-processing stage produces, and the extraction report the final
-// stage produces. Both follow the repo's serialization convention
-// (modelio): a versioned magic header, a gob payload, and structural
-// validation on both ends so corrupted or foreign streams fail with
-// precise errors instead of panics deep in a consumer.
+// stage produces. Both are artifact.Codec formats.
 const (
 	planMagic   = "DACPLN1\n"
 	reportMagic = "DACRPT1\n"
@@ -26,35 +23,21 @@ var ErrBadPlan = errors.New("attack: bad magic (not an encoding plan)")
 // ErrBadReport reports that a stream is not an extraction-report artifact.
 var ErrBadReport = errors.New("attack: bad magic (not an extraction report)")
 
+var (
+	planCodec = artifact.Codec[Plan]{
+		Magic: planMagic, Name: "attack: plan", BadMagic: ErrBadPlan, Check: validatePlan,
+	}
+	reportCodec = artifact.Codec[Report]{
+		Magic: reportMagic, Name: "attack: report", BadMagic: ErrBadReport, Check: validateReport,
+	}
+)
+
 // WritePlan serializes a pre-processing plan.
-func WritePlan(w io.Writer, p *Plan) error {
-	if err := validatePlan(p); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, planMagic); err != nil {
-		return fmt.Errorf("attack: write plan header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(p); err != nil {
-		return fmt.Errorf("attack: encode plan: %w", err)
-	}
-	return nil
-}
+func WritePlan(w io.Writer, p *Plan) error { return planCodec.Write(w, p) }
 
 // ReadPlan reads a plan artifact, verifying the magic header and the
 // structural consistency of the payload.
-func ReadPlan(r io.Reader) (*Plan, error) {
-	if err := readMagic(r, planMagic, ErrBadPlan, "plan"); err != nil {
-		return nil, err
-	}
-	var p Plan
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("attack: decode plan: %w", err)
-	}
-	if err := validatePlan(&p); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
+func ReadPlan(r io.Reader) (*Plan, error) { return planCodec.Read(r) }
 
 // validatePlan checks the invariants consumers (the regularizer, the
 // quantizer, the decoder) index on.
@@ -99,34 +82,11 @@ type Report struct {
 }
 
 // WriteReport serializes an extraction report.
-func WriteReport(w io.Writer, rep *Report) error {
-	if err := validateReport(rep); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, reportMagic); err != nil {
-		return fmt.Errorf("attack: write report header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(rep); err != nil {
-		return fmt.Errorf("attack: encode report: %w", err)
-	}
-	return nil
-}
+func WriteReport(w io.Writer, rep *Report) error { return reportCodec.Write(w, rep) }
 
 // ReadReport reads a report artifact, verifying the magic header and
 // the structural consistency of the payload.
-func ReadReport(r io.Reader) (*Report, error) {
-	if err := readMagic(r, reportMagic, ErrBadReport, "report"); err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := gob.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("attack: decode report: %w", err)
-	}
-	if err := validateReport(&rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
+func ReadReport(r io.Reader) (*Report, error) { return reportCodec.Read(r) }
 
 func validateReport(rep *Report) error {
 	if rep.Score.N < 0 || rep.Score.N > len(rep.Score.MAPEs)+len(rep.Recon) {
@@ -136,21 +96,6 @@ func validateReport(rep *Report) error {
 		if im == nil || im.NumPix() == 0 || im.C*im.H*im.W != im.NumPix() {
 			return fmt.Errorf("attack: report image %d is malformed", i)
 		}
-	}
-	return nil
-}
-
-// readMagic consumes and checks a codec's magic header.
-func readMagic(r io.Reader, magic string, badErr error, what string) error {
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("attack: truncated %s header: %w", what, io.ErrUnexpectedEOF)
-		}
-		return fmt.Errorf("attack: read %s header: %w", what, err)
-	}
-	if string(hdr) != magic {
-		return fmt.Errorf("%w: header %q", badErr, hdr)
 	}
 	return nil
 }

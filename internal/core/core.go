@@ -64,10 +64,7 @@ type Config struct {
 	// TestFrac is the held-out fraction (default 0.2).
 	TestFrac float64
 
-	// Builder constructs the model; when nil, a MiniResNet from ModelCfg
-	// is used.
-	Builder func() *nn.Model
-	// ModelCfg configures the default MiniResNet builder.
+	// ModelCfg configures the MiniResNet the pipeline trains.
 	ModelCfg nn.ResNetConfig
 
 	// GroupBounds are conv-index bounds defining the layer groups
@@ -150,10 +147,9 @@ type Config struct {
 
 	// Cache, when non-nil, persists stage outputs into the store and
 	// reuses them on later runs with matching cache keys (see pipeline.go
-	// for the stage graph and key derivation). Requires ModelCfg: a
-	// Builder closure has no canonical identity to key on, so setting
-	// both panics. Mid-training epoch checkpoints are also written
-	// (cadence CheckpointEvery) so interrupted runs can resume.
+	// for the stage graph and key derivation). Mid-training epoch
+	// checkpoints are also written (cadence CheckpointEvery) so
+	// interrupted runs can resume.
 	Cache *artifact.Store
 	// Resume, when true and Cache is set, probes the store for the latest
 	// mid-training epoch checkpoint of this exact configuration and
@@ -203,9 +199,6 @@ func Run(cfg Config) *Result {
 	if cfg.Data == nil {
 		panic("core: Config.Data is required")
 	}
-	if cfg.Cache != nil && cfg.Builder != nil {
-		panic("core: Cache requires ModelCfg; a Builder closure has no canonical identity to key on")
-	}
 	if cfg.TestFrac == 0 {
 		cfg.TestFrac = 0.2
 	}
@@ -220,7 +213,7 @@ func Run(cfg Config) *Result {
 	}
 	// Resolve the shard count up front so the cache key and the trainer
 	// agree on it: with a dist session the default is one shard per
-	// process, and single-process stays at the legacy whole-batch path.
+	// process, and a single process runs one shard.
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 		if cfg.Dist != nil {
@@ -228,12 +221,7 @@ func Run(cfg Config) *Result {
 		}
 	}
 
-	var m *nn.Model
-	if cfg.Builder != nil {
-		m = cfg.Builder()
-	} else {
-		m = nn.NewResNet(cfg.ModelCfg)
-	}
+	m := nn.NewResNet(cfg.ModelCfg)
 	groups := m.GroupsByConvIndex(cfg.GroupBounds)
 	lambdas := cfg.Lambdas
 	if lambdas == nil {

@@ -120,12 +120,19 @@ func (p *pipeline) exec(st *stage) {
 		sp := p.cfg.Trace.Span("core/" + st.name)
 		hit := false
 		if p.store != nil && len(st.kinds) > 0 {
+			// A load can fail after writing into the model (finetune
+			// restores its model state, then finds its record gone or
+			// torn), and the stage must then run from the state it found.
+			found := train.Capture(p.m, nil, 0, nil)
 			err := st.load(p, key)
 			if err == nil {
 				hit = true
 				p.countCache(st.name, true)
 				p.logf("cache: %s hit (%s)", st.name, key[:12])
 			} else {
+				if rerr := found.Restore(p.m, nil); rerr != nil {
+					panic(fmt.Sprintf("core: restoring the model after a failed %s load: %v", st.name, rerr))
+				}
 				if !errors.Is(err, fs.ErrNotExist) {
 					// Self-heal: a corrupt or stale artifact is evicted and
 					// the stage recomputed, so one bad file never wedges
@@ -173,8 +180,6 @@ func (p *pipeline) countCache(stage string, hit bool) {
 }
 
 // archConf mixes the model architecture (and its init seed) into a key.
-// Only ModelCfg-built models can be cached — a Builder closure has no
-// canonical identity — which Run enforces before the graph starts.
 func (p *pipeline) archConf(k *artifact.Key) {
 	c := p.cfg.ModelCfg
 	k.Int("arch.inc", int64(c.InC)).
@@ -251,12 +256,7 @@ func stagePreprocess() *stage {
 			p.installPlan(plan)
 		},
 		load: func(p *pipeline, key string) error {
-			rc, err := p.store.Get("plan", key)
-			if err != nil {
-				return err
-			}
-			defer rc.Close()
-			plan, err := attack.ReadPlan(rc)
+			plan, err := artifact.Load(p.store, "plan", key, attack.ReadPlan)
 			if err != nil {
 				return err
 			}
@@ -310,10 +310,10 @@ func stageTrain() *stage {
 				Int("seed", p.cfg.Seed)
 			// Shards is semantic (shard-local batch-norm statistics,
 			// shard-order reduction), so it keys the artifact — but only
-			// when it departs from the legacy whole-batch path, so every
-			// pre-existing cache entry keeps its key and warm runs still
-			// hit. The process count is deliberately absent, exactly like
-			// the thread count: results are bit-identical across both.
+			// above 1, so a single-shard run keeps the key it had before
+			// shards existed and stores written then still hit. The
+			// process count is deliberately absent, exactly like the
+			// thread count: results are bit-identical across both.
 			if p.cfg.Shards > 1 {
 				k.Int("shards", int64(p.cfg.Shards))
 			}
@@ -410,16 +410,8 @@ func (p *pipeline) distWorker() bool {
 // the store — the cache-hit path, and a dist worker's fallback when the
 // coordinator satisfied the run from cache.
 func (p *pipeline) loadTrainedState(key string) error {
-	rc, err := p.store.Get("model-state", key)
+	ck, err := p.restoreState(key)
 	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	ck, err := train.DecodeCheckpoint(rc)
-	if err != nil {
-		return err
-	}
-	if err := ck.Restore(p.m, nil); err != nil {
 		return err
 	}
 	// train.Run installs the execution context as a side effect;
@@ -428,6 +420,18 @@ func (p *pipeline) loadTrainedState(key string) error {
 	p.m.SetThreads(p.cfg.Threads)
 	p.trainRes = train.Result{Epochs: ck.Stats}
 	return nil
+}
+
+// restoreState loads the model-state artifact under key into the model.
+func (p *pipeline) restoreState(key string) (*train.Checkpoint, error) {
+	ck, err := artifact.Load(p.store, "model-state", key, train.DecodeCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	if err := ck.Restore(p.m, nil); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // epochKey derives the key of a mid-training checkpoint from the train
@@ -450,12 +454,10 @@ func (p *pipeline) probeEpochCheckpoint(trainKey string) *train.Checkpoint {
 		if !p.store.Has("epoch-checkpoint", ekey) {
 			continue
 		}
-		rc, err := p.store.Get("epoch-checkpoint", ekey)
-		if err != nil {
+		ck, err := artifact.Load(p.store, "epoch-checkpoint", ekey, train.DecodeCheckpoint)
+		if errors.Is(err, fs.ErrNotExist) {
 			continue
 		}
-		ck, err := train.DecodeCheckpoint(rc)
-		rc.Close()
 		if err != nil {
 			p.logf("cache: epoch %d checkpoint unusable, skipping: %v", e, err)
 			if derr := p.store.Delete("epoch-checkpoint", ekey); derr != nil {
@@ -525,12 +527,7 @@ func stageQuantize() *stage {
 // loadApplied restores a quantization record and binds it onto the model
 // (rewriting the covered weights from their codebooks).
 func (p *pipeline) loadApplied(kind, key string) error {
-	rc, err := p.store.Get(kind, key)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	blob, err := quantize.DecodeApplied(rc)
+	blob, err := artifact.Load(p.store, kind, key, quantize.DecodeApplied)
 	if err != nil {
 		return err
 	}
@@ -580,16 +577,7 @@ func stageFinetune() *stage {
 			quantize.FineTune(p.m, p.res.Applied, p.x, p.y, ft)
 		},
 		load: func(p *pipeline, key string) error {
-			rc, err := p.store.Get("model-state", key)
-			if err != nil {
-				return err
-			}
-			ck, err := train.DecodeCheckpoint(rc)
-			rc.Close()
-			if err != nil {
-				return err
-			}
-			if err := ck.Restore(p.m, nil); err != nil {
+			if _, err := p.restoreState(key); err != nil {
 				return err
 			}
 			return p.loadApplied("quant-record", key)
@@ -651,12 +639,7 @@ func stageExtract() *stage {
 			p.res.Score = attack.ScoreReconstructions(p.res.Plan.AllImages(), p.res.Recon)
 		},
 		load: func(p *pipeline, key string) error {
-			rc, err := p.store.Get("report", key)
-			if err != nil {
-				return err
-			}
-			defer rc.Close()
-			rep, err := attack.ReadReport(rc)
+			rep, err := artifact.Load(p.store, "report", key, attack.ReadReport)
 			if err != nil {
 				return err
 			}

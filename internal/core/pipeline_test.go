@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/nn"
+	"repro/internal/train"
 )
 
 // cachedCfg is the proposed malicious flow on the small fixtures, the
@@ -162,52 +163,109 @@ func TestPipelineSharedTrainingPrefix(t *testing.T) {
 	}
 }
 
-// TestPipelineSelfHealsCorruptArtifact: a flipped byte in a cached
-// artifact must not poison the run — the stage detects the damage,
-// evicts, recomputes, and the results match a clean run.
+// TestPipelineSelfHealsCorruptArtifact: a damaged cached artifact must
+// not poison the run. Each persisted kind in turn is cut to half its
+// length between a cold and a warm run (a torn copy, a disk that lost the
+// tail); every stage that owns the kind must detect the damage, evict,
+// and recompute, the warm results must match the cold ones, and a third
+// run must hit every stage again. A flipped header byte takes the same
+// path. (A mid-payload gob flip may legally decode to different values,
+// which is the codecs' documented limit, not the store's.)
 func TestPipelineSelfHealsCorruptArtifact(t *testing.T) {
-	store := openStore(t)
+	half := func(raw []byte) []byte { return raw[:len(raw)/2] }
+	flipHeader := func(raw []byte) []byte { raw[0] ^= 0xff; return raw }
+	for _, c := range []struct {
+		name, kind string
+		damage     func([]byte) []byte
+		stages     []string // the stages that persist kind
+	}{
+		{"plan-truncated", "plan", half, []string{"preprocess"}},
+		{"model-state-truncated", "model-state", half, []string{"train", "finetune"}},
+		{"quant-record-truncated", "quant-record", half, []string{"quantize", "finetune"}},
+		{"report-truncated", "report", half, []string{"extract"}},
+		{"report-header-flipped", "report", flipHeader, []string{"extract"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := openStore(t)
+			cold, _ := runCached(t, store)
+
+			matches := mustGlob(t, filepath.Join(store.Root(), c.kind, "*", "*.bin"))
+			if len(matches) != len(c.stages) {
+				t.Fatalf("%d %s artifacts, want one per owning stage %v", len(matches), c.kind, c.stages)
+			}
+			for _, path := range matches {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, c.damage(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			warm, log := runCached(t, store)
+			for _, stage := range c.stages {
+				if !strings.Contains(log, "cache: "+stage+" artifact unusable") {
+					t.Fatalf("damaged %s not detected by %s:\n%s", c.kind, stage, log)
+				}
+			}
+			sameResult(t, cold, warm)
+
+			// The evicted artifacts were rebuilt: a third run hits again.
+			_, log3 := runCached(t, store)
+			for _, stage := range []string{"preprocess", "train", "quantize", "finetune", "extract"} {
+				if !strings.Contains(log3, "cache: "+stage+" hit") {
+					t.Fatalf("rebuilt %s not reused by %s:\n%s", c.kind, stage, log3)
+				}
+			}
+		})
+	}
+}
+
+// runCached runs the cachedCfg flow over store and returns its log.
+func runCached(t *testing.T, store *artifact.Store) (*Result, string) {
+	t.Helper()
 	cfg := cachedCfg(44)
 	cfg.Cache = store
-	cold := Run(cfg)
-
-	// Corrupt every report artifact's header. (A header flip is always
-	// detectable; a mid-payload gob flip may legally decode to different
-	// values, which is the codecs' documented limit, not the store's.)
-	pattern := filepath.Join(store.Root(), "report", "*", "*.bin")
-	matches, err := filepath.Glob(pattern)
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no report artifacts found (%v): %v", pattern, err)
-	}
-	for _, path := range matches {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[0] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cfg2 := cachedCfg(44)
-	cfg2.Cache = store
 	var log bytes.Buffer
-	cfg2.Log = &log
-	warm := Run(cfg2)
-	if !strings.Contains(log.String(), "cache: extract artifact unusable") {
-		t.Fatalf("corruption not detected:\n%s", log.String())
-	}
-	sameResult(t, cold, warm)
+	cfg.Log = &log
+	return Run(cfg), log.String()
+}
 
-	// The evicted artifact was rebuilt: a third run hits again.
-	cfg3 := cachedCfg(44)
-	cfg3.Cache = store
-	var log3 bytes.Buffer
-	cfg3.Log = &log3
-	Run(cfg3)
-	if !strings.Contains(log3.String(), "cache: extract hit") {
-		t.Fatalf("rebuilt artifact not reused:\n%s", log3.String())
+// TestPipelineSurvivesFailedWrites: a store that cannot take a single
+// write must cost the run its cache, not its result. Replacing the
+// store's staging directory with a regular file makes every Put fail (for
+// root too) while reads still miss cleanly; the run completes, logs each
+// failed write, publishes nothing, and matches an uncached run.
+func TestPipelineSurvivesFailedWrites(t *testing.T) {
+	store := openStore(t)
+	staging := filepath.Join(store.Root(), "tmp")
+	if err := os.Remove(staging); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(staging, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := Run(cachedCfg(44))
+	cached, log := runCached(t, store)
+	sameResult(t, plain, cached)
+	for _, stage := range []string{"preprocess", "train", "quantize", "finetune", "extract"} {
+		if !strings.Contains(log, "cache: "+stage+" write failed") {
+			t.Fatalf("no failed write logged for %s:\n%s", stage, log)
+		}
+	}
+	if !strings.Contains(log, "cache: epoch 5 checkpoint write failed") {
+		t.Fatalf("no failed epoch-checkpoint write logged:\n%s", log)
+	}
+	for _, kind := range []string{"plan", "model-state", "epoch-checkpoint", "quant-record", "report"} {
+		keys, err := store.Keys(kind)
+		if err != nil || len(keys) != 0 {
+			t.Fatalf("%s: published %v (%v) through a store that cannot write", kind, keys, err)
+		}
+	}
+	if st := store.Stats(); st.WriteBytes != 0 || st.Hits != 0 {
+		t.Fatalf("store stats %+v, want no writes and no hits", st)
 	}
 }
 
@@ -262,6 +320,73 @@ func TestPipelineResumeFromEpochCheckpoint(t *testing.T) {
 	}
 	fresh := Run(mk())
 	sameResult(t, cold, fresh)
+
+	// A torn latest checkpoint is skipped and evicted, and the run
+	// resumes from the one before it. Checkpointing every epoch (the
+	// cadence is not part of the key) leaves checkpoints at epochs 1-3.
+	every := func() Config {
+		cfg := mk()
+		cfg.CheckpointEvery = 1
+		return cfg
+	}
+	dropModelState := func() {
+		for _, path := range mustGlob(t, filepath.Join(store.Root(), "model-state", "*", "*.bin")) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dropModelState()
+	Run(every())
+	dropModelState()
+	latest := epochCheckpointFile(t, store, 3)
+	raw, err := os.ReadFile(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(latest, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg = every()
+	cfg.Resume = true
+	log.Reset()
+	cfg.Log = &log
+	resumed = Run(cfg)
+	for _, want := range []string{"cache: epoch 3 checkpoint unusable, skipping", "cache: resuming training from epoch 2/4"} {
+		if !strings.Contains(log.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, log.String())
+		}
+	}
+	sameResult(t, cold, resumed)
+	// The resumed run rebuilt the evicted checkpoint whole.
+	if got := epochCheckpointFile(t, store, 3); got != latest {
+		t.Fatalf("rebuilt epoch-3 checkpoint at %s, was %s", got, latest)
+	}
+}
+
+// epochCheckpointFile returns the path of the one stored epoch checkpoint
+// that decodes to the given epoch.
+func epochCheckpointFile(t *testing.T, store *artifact.Store, epoch int) string {
+	t.Helper()
+	found := ""
+	for _, path := range mustGlob(t, filepath.Join(store.Root(), "epoch-checkpoint", "*", "*.bin")) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := train.DecodeCheckpoint(f)
+		f.Close()
+		if err == nil && ck.Epoch == epoch {
+			if found != "" {
+				t.Fatalf("two epoch-%d checkpoints: %s and %s", epoch, found, path)
+			}
+			found = path
+		}
+	}
+	if found == "" {
+		t.Fatalf("no whole epoch-%d checkpoint in the store", epoch)
+	}
+	return found
 }
 
 func mustGlob(t *testing.T, pattern string) []string {
@@ -271,19 +396,4 @@ func mustGlob(t *testing.T, pattern string) []string {
 		t.Fatal(err)
 	}
 	return matches
-}
-
-// TestPipelineCacheRejectsBuilder: a closure-built model has no canonical
-// identity, so caching it must fail loudly instead of serving wrong
-// artifacts.
-func TestPipelineCacheRejectsBuilder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cfg := fastCfg(smallData(false, 46), smallModel(1))
-	cfg.Builder = func() *nn.Model { return nn.NewResNet(smallModel(1)) }
-	cfg.Cache = openStore(t)
-	Run(cfg)
 }

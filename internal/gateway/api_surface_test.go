@@ -23,7 +23,6 @@ func TestRouteInventoryGolden(t *testing.T) {
 		"POST /v1/predict",
 		"GET /v1/models",
 		"GET /v1/assignments",
-		"POST /v1/admin/reload",
 		"POST /v1/models/{nameop}",
 		"GET /healthz",
 		"GET /readyz",
@@ -100,7 +99,7 @@ func TestOversizeAdminBodiesRejected(t *testing.T) {
 	// fail on the limit.
 	pad := api.MaxBodyBytes + 1 - len(`{"model":""}`)
 	body := `{"model":"` + strings.Repeat("a", pad) + `"}`
-	for _, path := range []string{"/v1/models/prod:reload", "/v1/admin/reload", "/v1/models/prod:policy"} {
+	for _, path := range []string{"/v1/models/prod:reload", "/v1/models/prod:policy"} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		e, err := api.ParseError(rec.Body.Bytes())

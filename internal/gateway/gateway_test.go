@@ -482,49 +482,8 @@ func TestGatewayRollingReloadZeroLoss(t *testing.T) {
 	}
 }
 
-// The admin endpoint drives the same rolling reload over HTTP.
-func TestGatewayAdminReloadEndpoint(t *testing.T) {
-	store := testStore(t)
-	dA := publishReleased(t, store, 84, false)
-	dB := publishReleased(t, store, 85, false)
-	r0, r1 := startReplica(t, "r0", store), startReplica(t, "r1", store)
-	for _, rep := range []*testReplica{r0, r1} {
-		if _, err := rep.reg.LoadDigest("prod", dA, serve.ModeAuto); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := testGateway(t, Options{}, r0, r1)
-	ts := gatewayServer(t, g)
-
-	resp, err := http.Post(ts.URL+"/v1/admin/reload", "application/json",
-		jsonBody(t, reloadRequest{Model: "prod", Digest: dB}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admin reload status %d", resp.StatusCode)
-	}
-	for _, rep := range []*testReplica{r0, r1} {
-		if en, ok := rep.reg.Get("prod"); !ok || en.Digest != dB {
-			t.Fatal("admin reload did not distribute the digest")
-		}
-	}
-	// Unknown digest → error surfaced, assignment rolled forward but fleet
-	// unchanged.
-	resp2, err := http.Post(ts.URL+"/v1/admin/reload", "application/json",
-		jsonBody(t, reloadRequest{Model: "prod", Digest: "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadGateway {
-		t.Fatalf("bad-digest reload status %d, want 502", resp2.StatusCode)
-	}
-}
-
-// The serve-style path form of the reload op: the model name rides in the
-// path, only the digest in the body.
+// The reload op drives the rolling reload over HTTP: the model name rides
+// in the path, only the digest in the body.
 func TestGatewayModelOpReloadEndpoint(t *testing.T) {
 	store := testStore(t)
 	dA := publishReleased(t, store, 86, true)
@@ -547,6 +506,20 @@ func TestGatewayModelOpReloadEndpoint(t *testing.T) {
 	}
 	if en, ok := r0.reg.Get("prod"); !ok || en.Digest != dB {
 		t.Fatal("path reload did not distribute the digest")
+	}
+	// Unknown digest → the error surfaces as a 502 and the replica keeps
+	// serving what it had.
+	resp2, err := http.Post(ts.URL+"/v1/models/prod:reload", "application/json",
+		jsonBody(t, reloadRequest{Digest: "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusBadGateway {
+		t.Fatalf("bad-digest reload status %d, want 502", resp2.StatusCode)
+	}
+	if en, ok := r0.reg.Get("prod"); !ok || en.Digest != dB {
+		t.Fatal("failed reload changed the served digest")
 	}
 	// Unknown op and missing op are 404s, not silent reloads.
 	for _, path := range []string{"/v1/models/prod:audit", "/v1/models/prod"} {

@@ -82,7 +82,7 @@ func TestRingRemovalMovesOnlyOwnedKeys(t *testing.T) {
 	}
 }
 
-// The spill sequence (candidates[1:]) is what bounded-load routing and
+// The spill sequence (candidates[1:]) is what least-in-flight routing and
 // retry walk; it must visit the same replicas the full ring would, in the
 // same order, regardless of membership slice order.
 func TestRingCandidatesOrderIndependentOfMemberOrder(t *testing.T) {

@@ -23,8 +23,6 @@ import (
 //	POST /v1/models/{name}:reload  rolling reload: {"digest": ...}
 //	POST /v1/models/{name}:policy  get/set the model's serving policy,
 //	                       fanned out to every eligible replica
-//	POST /v1/admin/reload  reload with the model in the body
-//	                       ({"model": ..., "digest": ...})
 //	GET  /healthz          gateway liveness + pool summary
 //	GET  /readyz           503 until at least one replica is on the ring
 //	GET  /statsz           routing/health counters (JSON)
@@ -45,7 +43,6 @@ func NewServer(gw *Gateway) *Server {
 	f.Handle("POST /v1/predict", s.handlePredict)
 	f.Handle("GET /v1/models", s.handleModels)
 	f.Handle("GET /v1/assignments", s.handleAssignments)
-	f.Handle("POST /v1/admin/reload", s.handleReload)
 	f.HandleModelOps(map[string]api.ModelOpHandler{
 		"reload": s.opReload,
 		"policy": s.opPolicy,
@@ -248,19 +245,30 @@ func (s *Server) handleAssignments(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{"assignments": s.gw.Assignments()})
 }
 
+// reloadRequest is the body of {name}:reload.
 type reloadRequest struct {
-	Model  string `json:"model"`
 	Digest string `json:"digest"`
 }
 
+// opReload rolls the fleet onto the release digest in the body, one
+// replica at a time (Gateway.RollingReload).
 func (s *Server) opReload(w http.ResponseWriter, r *http.Request, name string) {
 	var req reloadRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad request body: %v", err)
 		return
 	}
-	req.Model = name
-	s.rollingReload(w, r, req)
+	if name == "" || req.Digest == "" {
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "model and digest must be set")
+		return
+	}
+	if err := s.gw.RollingReload(r.Context(), name, req.Digest); err != nil {
+		api.WriteError(w, http.StatusBadGateway, api.CodeBadGateway, "", "%v", err)
+		return
+	}
+	api.WriteJSON(w, http.StatusOK, map[string]any{
+		"model": name, "digest": req.Digest, "status": "reloaded",
+	})
 }
 
 // opPolicy fans a serving-policy get (empty body) or set (Policy JSON
@@ -315,29 +323,6 @@ func (s *Server) opPolicy(w http.ResponseWriter, r *http.Request, name string) {
 		"model":    name,
 		"replicas": len(results),
 		"results":  results,
-	})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	s.rollingReload(w, r, req)
-}
-
-func (s *Server) rollingReload(w http.ResponseWriter, r *http.Request, req reloadRequest) {
-	if req.Model == "" || req.Digest == "" {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "model and digest must be set")
-		return
-	}
-	if err := s.gw.RollingReload(r.Context(), req.Model, req.Digest); err != nil {
-		api.WriteError(w, http.StatusBadGateway, api.CodeBadGateway, "", "%v", err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, map[string]any{
-		"model": req.Model, "digest": req.Digest, "status": "reloaded",
 	})
 }
 

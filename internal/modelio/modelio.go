@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/artifact"
 	"repro/internal/nn"
 	"repro/internal/quantize"
 )
@@ -210,43 +211,18 @@ func (ps paramSet) claim(name string, n int) (*nn.Param, error) {
 	return p, nil
 }
 
-// Write serializes rm to w: the magic header followed by a gob payload.
-func Write(w io.Writer, rm *ReleasedModel) error {
-	if err := validate(rm); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, magic); err != nil {
-		return fmt.Errorf("modelio: write header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(rm); err != nil {
-		return fmt.Errorf("modelio: encode: %w", err)
-	}
-	return nil
+// releaseCodec is the released-model format (DACMRM1).
+var releaseCodec = artifact.Codec[ReleasedModel]{
+	Magic: magic, Name: "modelio: release", BadMagic: ErrBadMagic, Check: validate,
 }
+
+// Write serializes rm to w: the magic header followed by a gob payload.
+func Write(w io.Writer, rm *ReleasedModel) error { return releaseCodec.Write(w, rm) }
 
 // Read deserializes a ReleasedModel from r, verifying the magic header and
 // the structural consistency of the payload. Truncated or foreign streams
 // return wrapped errors (io.ErrUnexpectedEOF, ErrBadMagic) — never a panic.
-func Read(r io.Reader) (*ReleasedModel, error) {
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("modelio: truncated header: %w", io.ErrUnexpectedEOF)
-		}
-		return nil, fmt.Errorf("modelio: read header: %w", err)
-	}
-	if string(hdr) != magic {
-		return nil, fmt.Errorf("%w: header %q", ErrBadMagic, hdr)
-	}
-	var rm ReleasedModel
-	if err := gob.NewDecoder(r).Decode(&rm); err != nil {
-		return nil, fmt.Errorf("modelio: decode: %w", err)
-	}
-	if err := validate(&rm); err != nil {
-		return nil, err
-	}
-	return &rm, nil
-}
+func Read(r io.Reader) (*ReleasedModel, error) { return releaseCodec.Read(r) }
 
 // ReadWithDigest reads a released model from r and also returns the hex
 // SHA-256 of the entire stream — the content hash serving registries key

@@ -9,58 +9,20 @@ import (
 	"repro/internal/quantize"
 )
 
-// Kind classifies an artifact file by its magic header.
-type Kind int
+// IsRelease reports whether r starts with a released model's magic
+// header. It reads only the header; a stream shorter than it is not a
+// release.
+func IsRelease(r io.Reader) bool { return releaseCodec.Is(r) }
 
-const (
-	// KindUnknown is any stream that carries neither magic.
-	KindUnknown Kind = iota
-	// KindReleased is a released model file (DACMRM1), servable directly.
-	KindReleased
-	// KindQuantRecord is a bare quantization record (DACQAP1): codebooks
-	// and indices only, no architecture, biases, or batch-norm state — it
-	// rebinds onto an existing model but cannot be served standalone.
-	KindQuantRecord
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindReleased:
-		return "released model"
-	case KindQuantRecord:
-		return "quantization record"
-	default:
-		return "unknown"
-	}
-}
-
-// Sniff classifies a stream by its first bytes. Both artifact magics are
-// the same length, so one 8-byte read decides; a short stream is
-// KindUnknown, not an error.
-func Sniff(r io.Reader) Kind {
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return KindUnknown
-	}
-	switch string(hdr) {
-	case magic:
-		return KindReleased
-	case quantize.AppliedMagic:
-		return KindQuantRecord
-	default:
-		return KindUnknown
-	}
-}
-
-// SniffFile classifies the artifact at path by magic header, regardless of
-// file extension.
-func SniffFile(path string) (Kind, error) {
+// IsReleaseFile reports whether the file at path is a released model by
+// its magic header, regardless of file extension.
+func IsReleaseFile(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return KindUnknown, err
+		return false, err
 	}
 	defer f.Close()
-	return Sniff(f), nil
+	return IsRelease(f), nil
 }
 
 // NumScalars returns the total scalar parameter count a released model

@@ -23,38 +23,38 @@ func quantizedRelease(tb testing.TB, seed int64) *ReleasedModel {
 	return rm
 }
 
-func TestSniffKinds(t *testing.T) {
+// TestIsRelease: only a released model's header counts; a bare
+// quantization record, foreign bytes and a short stream do not.
+func TestIsRelease(t *testing.T) {
 	rm := quantizedRelease(t, 11)
 	var released bytes.Buffer
 	if err := Write(&released, rm); err != nil {
 		t.Fatal(err)
 	}
-	if k := Sniff(bytes.NewReader(released.Bytes())); k != KindReleased {
-		t.Fatalf("released model sniffed as %v", k)
+	if !IsRelease(bytes.NewReader(released.Bytes())) {
+		t.Fatal("released model not recognized")
 	}
 
-	m2, a2, err := Import(rm)
+	_, a2, err := Import(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m2
 	var record bytes.Buffer
 	if err := quantize.EncodeApplied(&record, quantize.Snapshot(a2)); err != nil {
 		t.Fatal(err)
 	}
-	if k := Sniff(bytes.NewReader(record.Bytes())); k != KindQuantRecord {
-		t.Fatalf("quantization record sniffed as %v", k)
-	}
-
-	if k := Sniff(bytes.NewReader([]byte("not a model file at all"))); k != KindUnknown {
-		t.Fatalf("foreign bytes sniffed as %v", k)
-	}
-	if k := Sniff(bytes.NewReader([]byte("DAC"))); k != KindUnknown {
-		t.Fatalf("short stream sniffed as %v", k)
+	for name, raw := range map[string][]byte{
+		"quantization record": record.Bytes(),
+		"foreign bytes":       []byte("not a model file at all"),
+		"short stream":        []byte("DAC"),
+	} {
+		if IsRelease(bytes.NewReader(raw)) {
+			t.Fatalf("%s recognized as a release", name)
+		}
 	}
 }
 
-func TestSniffFile(t *testing.T) {
+func TestIsReleaseFile(t *testing.T) {
 	dir := t.TempDir()
 	rm := quantizedRelease(t, 12)
 	path := filepath.Join(dir, "model.anything")
@@ -65,11 +65,10 @@ func TestSniffFile(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	k, err := SniffFile(path)
-	if err != nil || k != KindReleased {
-		t.Fatalf("SniffFile = %v, %v; want released", k, err)
+	if ok, err := IsReleaseFile(path); err != nil || !ok {
+		t.Fatalf("IsReleaseFile = %v, %v; want true", ok, err)
 	}
-	if _, err := SniffFile(filepath.Join(dir, "missing")); err == nil {
+	if _, err := IsReleaseFile(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file did not error")
 	}
 }

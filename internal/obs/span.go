@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -164,6 +165,17 @@ func (t *Tracer) WriteReport(w io.Writer) {
 	for _, n := range t.roots {
 		writeNode(w, n, 0)
 	}
+}
+
+// WriteFile writes the report to the file at path, or to stderr when path
+// is "-". Write and close errors are returned, so a report lost to a full
+// disk says so.
+func (t *Tracer) WriteFile(path string) error {
+	if path == "-" {
+		t.WriteReport(os.Stderr)
+		return nil
+	}
+	return os.WriteFile(path, []byte(t.Report()), 0o666)
 }
 
 func writeNode(w io.Writer, n *spanNode, depth int) {

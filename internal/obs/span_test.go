@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +93,24 @@ func TestNilTracerNoops(t *testing.T) {
 	tr.WriteReport(&b)
 	if b.Len() != 0 {
 		t.Fatalf("nil tracer wrote a report: %q", b.String())
+	}
+}
+
+// WriteFile writes Report's text to the file and returns the error of a
+// file it could not write.
+func TestTracerWriteFile(t *testing.T) {
+	tr := NewTracer()
+	tr.Add("core/train", time.Second, 2)
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != tr.Report() {
+		t.Fatalf("file holds %q (%v), want the report %q", got, err, tr.Report())
+	}
+	if err := tr.WriteFile(filepath.Join(t.TempDir(), "missing", "trace.txt")); err == nil {
+		t.Fatal("write into a missing directory reported no error")
 	}
 }
 

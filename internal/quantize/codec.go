@@ -1,21 +1,26 @@
 package quantize
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/artifact"
 	"repro/internal/nn"
 )
 
-// AppliedMagic identifies a quantization-record artifact; the trailing
-// digit is the format version. Exported so registries can sniff artifact
-// kinds from file headers (modelio.Sniff).
-const AppliedMagic = "DACQAP1\n"
+// appliedMagic identifies a quantization-record artifact; the trailing
+// digit is the format version.
+const appliedMagic = "DACQAP1\n"
 
 // ErrBadApplied reports that a stream is not a quantization record.
 var ErrBadApplied = errors.New("quantize: bad magic (not a quantization record)")
+
+// appliedCodec is the quantization-record format (DACQAP1), the store's
+// quant-record kind.
+var appliedCodec = artifact.Codec[AppliedBlob]{
+	Magic: appliedMagic, Name: "quantize: record", BadMagic: ErrBadApplied, Check: validateApplied,
+}
 
 // AppliedBlob is the serializable form of an Applied record. It references
 // parameters by name instead of pointer so the record can be rebound to a
@@ -109,42 +114,12 @@ func (blob *AppliedBlob) Bind(m *nn.Model) (*Applied, error) {
 }
 
 // EncodeApplied serializes a quantization record.
-func EncodeApplied(w io.Writer, blob *AppliedBlob) error {
-	if err := validateApplied(blob); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, AppliedMagic); err != nil {
-		return fmt.Errorf("quantize: write record header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(blob); err != nil {
-		return fmt.Errorf("quantize: encode record: %w", err)
-	}
-	return nil
-}
+func EncodeApplied(w io.Writer, blob *AppliedBlob) error { return appliedCodec.Write(w, blob) }
 
 // DecodeApplied reads a quantization record, verifying the magic header
 // and the structural consistency of the payload. Truncated or foreign
 // streams return wrapped errors — never a panic.
-func DecodeApplied(r io.Reader) (*AppliedBlob, error) {
-	hdr := make([]byte, len(AppliedMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("quantize: truncated record header: %w", io.ErrUnexpectedEOF)
-		}
-		return nil, fmt.Errorf("quantize: read record header: %w", err)
-	}
-	if string(hdr) != AppliedMagic {
-		return nil, fmt.Errorf("%w: header %q", ErrBadApplied, hdr)
-	}
-	var blob AppliedBlob
-	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("quantize: decode record: %w", err)
-	}
-	if err := validateApplied(&blob); err != nil {
-		return nil, err
-	}
-	return &blob, nil
-}
+func DecodeApplied(r io.Reader) (*AppliedBlob, error) { return appliedCodec.Read(r) }
 
 // validateApplied checks the structural invariants Bind indexes on.
 func validateApplied(blob *AppliedBlob) error {

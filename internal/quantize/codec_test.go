@@ -96,7 +96,7 @@ func TestAppliedCodecRoundTripAndBind(t *testing.T) {
 func TestAppliedDecodeTruncatedFails(t *testing.T) {
 	_, blob := appliedFixture(t)
 	raw := encodeAppliedBytes(t, blob)
-	for _, n := range []int{0, 3, len(AppliedMagic), len(AppliedMagic) + 5, len(raw) / 2, len(raw) - 1} {
+	for _, n := range []int{0, 3, len(appliedMagic), len(appliedMagic) + 5, len(raw) / 2, len(raw) - 1} {
 		if _, err := DecodeApplied(bytes.NewReader(raw[:n])); err == nil {
 			t.Fatalf("truncation at %d bytes: expected error", n)
 		}
@@ -118,7 +118,7 @@ func TestAppliedDecodeBadMagicFails(t *testing.T) {
 func TestAppliedDecodeFlippedByteFails(t *testing.T) {
 	_, blob := appliedFixture(t)
 	raw := encodeAppliedBytes(t, blob)
-	for _, off := range []int{len(AppliedMagic) + 1, len(raw) / 3, 2 * len(raw) / 3} {
+	for _, off := range []int{len(appliedMagic) + 1, len(raw) / 3, 2 * len(raw) / 3} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x08
 		rec, err := DecodeApplied(bytes.NewReader(mut))

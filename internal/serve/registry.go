@@ -231,15 +231,12 @@ type Skipped struct {
 	Reason string
 }
 
-// LoadDir sniffs every regular file in dir by magic header — no extension
-// convention — and registers each released model (DACMRM1) under its file
+// LoadDir registers every released model (DACMRM1) in dir under its file
 // name minus extension, so one directory can mix full-precision and
-// quantized releases. Bare quantization records (DACQAP1) are reported as
-// skipped rather than errors: they carry codebooks and indices only, with
-// no architecture, biases, or batch-norm state, so there is no model to
-// serve — their content ships inside the quantized release instead.
-// Unrecognized files are skipped likewise. Two files that resolve to the
-// same serving name is an error (which file wins would be ordering luck).
+// quantized releases. The magic header decides, not the extension; every
+// other regular file is reported as skipped rather than an error. Two
+// files that resolve to the same serving name is an error (which file
+// wins would be ordering luck).
 func (r *Registry) LoadDir(dir string, mode LoadMode) ([]*Entry, []Skipped, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -253,28 +250,24 @@ func (r *Registry) LoadDir(dir string, mode LoadMode) ([]*Entry, []Skipped, erro
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
-		kind, err := modelio.SniffFile(path)
+		ok, err := modelio.IsReleaseFile(path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: load dir: %w", err)
 		}
-		switch kind {
-		case modelio.KindReleased:
-			name := strings.TrimSuffix(de.Name(), filepath.Ext(de.Name()))
-			if prev, dup := seen[name]; dup {
-				return nil, nil, fmt.Errorf("serve: %q and %q both resolve to model name %q", prev, path, name)
-			}
-			seen[name] = path
-			en, err := r.loadFileWithMode(name, path, mode)
-			if err != nil {
-				return nil, nil, err
-			}
-			entries = append(entries, en)
-		case modelio.KindQuantRecord:
-			skipped = append(skipped, Skipped{Path: path,
-				Reason: "bare quantization record (no architecture or batch-norm state); serve the quantized release instead"})
-		default:
-			skipped = append(skipped, Skipped{Path: path, Reason: "not a model artifact"})
+		if !ok {
+			skipped = append(skipped, Skipped{Path: path, Reason: "not a released model"})
+			continue
 		}
+		name := strings.TrimSuffix(de.Name(), filepath.Ext(de.Name()))
+		if prev, dup := seen[name]; dup {
+			return nil, nil, fmt.Errorf("serve: %q and %q both resolve to model name %q", prev, path, name)
+		}
+		seen[name] = path
+		en, err := r.loadFileWithMode(name, path, mode)
+		if err != nil {
+			return nil, nil, err
+		}
+		entries = append(entries, en)
 	}
 	if len(skipped) > 0 {
 		r.mu.Lock()

@@ -1,22 +1,26 @@
 package train
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/artifact"
 	"repro/internal/nn"
 )
 
 // ckMagic identifies a training-checkpoint artifact; the trailing digit is
-// the format version. Decode rejects anything else up front so a wrong or
-// truncated file fails with a precise error instead of a gob decode error
-// deep in the payload (mirroring modelio's released-model format).
+// the format version.
 const ckMagic = "DACCKP1\n"
 
 // ErrBadCheckpoint reports that a stream is not a training checkpoint.
 var ErrBadCheckpoint = errors.New("train: bad magic (not a training checkpoint)")
+
+// checkpointCodec is the training-checkpoint format (DACCKP1), the store's
+// model-state and epoch-checkpoint kinds.
+var checkpointCodec = artifact.Codec[Checkpoint]{
+	Magic: ckMagic, Name: "train: checkpoint", BadMagic: ErrBadCheckpoint, Check: validateCheckpoint,
+}
 
 // ValuesBlob is one named float vector (a parameter tensor's values or an
 // optimizer state vector).
@@ -139,43 +143,13 @@ func (ck *Checkpoint) Restore(m *nn.Model, opt Optimizer) error {
 
 // EncodeCheckpoint serializes ck to w: the magic header followed by a gob
 // payload.
-func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
-	if err := validateCheckpoint(ck); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, ckMagic); err != nil {
-		return fmt.Errorf("train: write checkpoint header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(ck); err != nil {
-		return fmt.Errorf("train: encode checkpoint: %w", err)
-	}
-	return nil
-}
+func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error { return checkpointCodec.Write(w, ck) }
 
 // DecodeCheckpoint reads a checkpoint from r, verifying the magic header
 // and the structural consistency of the payload. Truncated or foreign
 // streams return wrapped errors (io.ErrUnexpectedEOF, ErrBadCheckpoint) —
 // never a panic.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	hdr := make([]byte, len(ckMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("train: truncated checkpoint header: %w", io.ErrUnexpectedEOF)
-		}
-		return nil, fmt.Errorf("train: read checkpoint header: %w", err)
-	}
-	if string(hdr) != ckMagic {
-		return nil, fmt.Errorf("%w: header %q", ErrBadCheckpoint, hdr)
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
-	}
-	if err := validateCheckpoint(&ck); err != nil {
-		return nil, err
-	}
-	return &ck, nil
-}
+func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) { return checkpointCodec.Read(r) }
 
 // validateCheckpoint checks the structural invariants a well-formed
 // checkpoint satisfies, so a corrupted artifact fails with a descriptive

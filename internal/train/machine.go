@@ -16,29 +16,21 @@ import (
 //
 //	shard → forward/backward partials → exchange → global reduce
 //
-// (the optimizer step stays in Run, shared with the legacy path). The
-// machine has two modes, chosen once per run:
-//
-// Legacy mode (Shards == 1, no dist session): the whole batch is one
-// shard, batch-norm statistics update inline during the forward pass, and
-// gradients are left exactly as backward accumulated them — byte for byte
-// the pre-refactor trainer, so every existing checkpoint, cache artifact,
-// and determinism test is untouched.
-//
-// Sharded mode (Shards > 1): the batch's permutation slice is split into
-// Shards contiguous balanced shards (dataset.Shard). Each shard is
-// forward/backwarded independently — batch norm sees shard-local batch
-// statistics, the loss is scaled by the global batch size — and its
-// flattened gradient, loss, and batch-norm moments become that shard's
-// partial. Under a dist session each rank computes only its owned shard
-// range and exchanges partials with its peers; single-process runs
-// compute every shard locally. The reduce stage is identical everywhere:
-// zero the gradients, fold the partials in ascending shard order, sum the
-// shard losses in shard order, and replay the batch-norm moment updates in
-// shard order. Because every (threads × processes) shape computes the
-// same partials and folds them in the same order, the post-step model
-// state is byte-identical across shapes — the run's result depends on
-// Shards (a semantic knob) but never on how the shards were scheduled.
+// (the optimizer step stays in Run). The batch's permutation slice is
+// split into Shards contiguous balanced shards (dataset.Shard); with one
+// shard it is the whole batch. Each shard is forward/backwarded
+// independently — batch norm sees shard-local batch statistics, the loss
+// is scaled by the global batch size — and its flattened gradient, loss,
+// and batch-norm moments become that shard's partial. Under a dist
+// session each rank computes only its owned shard range and exchanges
+// partials with its peers; single-process runs compute every shard
+// locally. The reduce stage is identical everywhere: zero the gradients,
+// fold the partials in ascending shard order, sum the shard losses in
+// shard order, and replay the batch-norm moment updates in shard order.
+// Because every (threads × processes) shape computes the same partials and
+// folds them in the same order, the post-step model state is
+// byte-identical across shapes — the run's result depends on Shards (a
+// semantic knob) but never on how the shards were scheduled.
 type stepMachine struct {
 	m      *nn.Model
 	shards int
@@ -50,10 +42,10 @@ type stepMachine struct {
 	y      []int
 	sample int
 
-	bx *tensor.Tensor // gather buffer, rows = max shard size (== batch in legacy mode)
+	bx *tensor.Tensor // gather buffer, rows = max shard size
 	by []int
 
-	bn      []*nn.BatchNorm2D // batch-norm layers in walk order (sharded mode)
+	bn      []*nn.BatchNorm2D // batch-norm layers in walk order
 	bnLen   int               // total moment vector length: sum over layers of 2*C
 	parts   *compute.PartialSet
 	moments [][]float64 // per-shard moment vectors, layer-major (C means, C variances)
@@ -65,8 +57,8 @@ type stepMachine struct {
 	tForward, tBackward, tExchange, tReduce time.Duration
 }
 
-// newStepMachine builds the machine for one run. In sharded mode it flips
-// every batch-norm layer into deferred-statistics mode; close undoes that.
+// newStepMachine builds the machine for one run. It flips every batch-norm
+// layer into deferred-statistics mode; close undoes that.
 func newStepMachine(m *nn.Model, x *tensor.Tensor, y []int, batch, shards int, sess *dist.Session, token string) *stepMachine {
 	n := x.Dim(0)
 	sm := &stepMachine{
@@ -74,16 +66,9 @@ func newStepMachine(m *nn.Model, x *tensor.Tensor, y []int, batch, shards int, s
 		x: x, y: y, sample: x.Len() / n,
 		ownLo: 0, ownHi: shards,
 	}
-	rows := batch
-	if shards > 1 {
-		// Max shard size of a balanced split.
-		rows = (batch + shards - 1) / shards
-	}
+	rows := (batch + shards - 1) / shards // max shard size of a balanced split
 	sm.bx = tensor.New(rows, sm.sample)
 	sm.by = make([]int, rows)
-	if shards == 1 {
-		return sm
-	}
 	nn.Walk(m.Net, func(l nn.Layer) {
 		if bn, ok := l.(*nn.BatchNorm2D); ok {
 			bn.DeferStats = true
@@ -114,10 +99,6 @@ func (sm *stepMachine) close() {
 // idx is the batch's slice of the epoch permutation. The caller applies
 // the regularizer, gradient clipping, and the optimizer step afterwards.
 func (sm *stepMachine) step(epoch, step int, idx []int) float64 {
-	if sm.shards == 1 {
-		return sm.stepLegacy(idx)
-	}
-
 	// Stage: shard + forward/backward partials over the owned shard range.
 	for k := sm.ownLo; k < sm.ownHi; k++ {
 		lo, hi := dataset.Shard(len(idx), k, sm.shards)
@@ -178,30 +159,6 @@ func (sm *stepMachine) step(epoch, step int, idx []int) float64 {
 	}
 	if sm.timed {
 		sm.tReduce += time.Since(t0)
-	}
-	return loss
-}
-
-// stepLegacy is the whole-batch path: the pre-refactor step, byte for byte.
-func (sm *stepMachine) stepLegacy(idx []int) float64 {
-	bs := len(idx)
-	gather(sm.bx, sm.by, sm.x, sm.y, idx)
-	batch := sm.bx.Reshape(append([]int{bs}, sm.m.InputShape...)...)
-	sm.m.ZeroGrad()
-	var t0 time.Time
-	if sm.timed {
-		t0 = time.Now()
-	}
-	logits := sm.m.ForwardTrain(batch)
-	loss, grad := nn.SoftmaxCrossEntropy(logits, sm.by[:bs])
-	if sm.timed {
-		t1 := time.Now()
-		sm.tForward += t1.Sub(t0)
-		t0 = t1
-	}
-	sm.m.Backward(grad)
-	if sm.timed {
-		sm.tBackward += time.Since(t0)
 	}
 	return loss
 }

@@ -64,7 +64,7 @@ type Config struct {
 	// sees shard-local statistics, like gradient accumulation) and reduced
 	// in ascending shard order. Results depend on Shards but are
 	// byte-identical for every (threads × processes) execution shape that
-	// computes them. 0 defaults to 1 — the legacy whole-batch path — or to
+	// computes them. 0 defaults to 1 (the whole batch is one shard), or to
 	// Dist.Procs() when a dist session is attached. Must be ≥ the process
 	// count and ≤ BatchSize.
 	Shards int
@@ -122,12 +122,10 @@ type EpochStats struct {
 	// timing is on (Config.Trace set or obs enabled) and zero otherwise,
 	// so the hot loop pays no clock reads by default.
 	Forward, Backward, Reg, Optim time.Duration
-	// Exchange and Reduce are the sharded path's phases: Exchange is the
-	// partial send + peer-wait time (zero without a dist session) and
+	// Exchange and Reduce are the step machine's last phases: Exchange is
+	// the partial send + peer-wait time (zero without a dist session) and
 	// Reduce is the shard-order gradient fold + batch-norm replay. They
-	// are accounted separately so Backward measures compute only — before
-	// the stage-machine split, everything after forward landed in
-	// Backward.
+	// are accounted separately so Backward measures compute only.
 	Exchange, Reduce time.Duration
 	// GroupCorr is the per-group correlation reported by the regularizer
 	// after the epoch's last step (nil unless the regularizer exposes
@@ -165,9 +163,7 @@ func (r Result) FinalLoss() float64 {
 // Run trains m on inputs x (N, ...) with labels y under cfg. Each epoch is
 // driven through an explicit per-step stage machine (see stepMachine):
 // shard → forward/backward partials → exchange → global reduce → optimizer
-// step. With Shards == 1 (the default) the machine collapses to the
-// whole-batch path, byte-identical to the pre-refactor trainer; with
-// Shards > 1 the result is byte-identical for every (threads × processes)
+// step. The result is byte-identical for every (threads × processes)
 // execution shape that computes the same shards.
 func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	n := x.Dim(0)
