@@ -10,13 +10,15 @@ check:
 race:
 	go test -race -timeout 60m ./...
 
-# Fast race gate over the concurrent packages only. internal/quantize is
-# here for the codebook-native eval tests, which forward through the worker
-# pool at several thread counts; internal/gateway for the fleet-routing
-# tests (concurrent probes, rolling reloads, and hot-swap under fire);
+# Fast race gate over the concurrent packages only. internal/modelio is
+# here for the codebook-native eval test, which forwards a natively
+# imported release through the worker pool at one thread and four;
+# internal/quantize for fine-tuning, which runs the trainer on the model's
+# execution context; internal/gateway for the fleet-routing tests
+# (concurrent probes, rolling reloads, and hot-swap under fire);
 # internal/dist for the multi-process trainer's in-process multi-rank tests.
 race-fast:
-	go test -race ./internal/compute/ ./internal/nn/ ./internal/train/ ./internal/dist/ ./internal/serve/ ./internal/obs/ ./internal/quantize/ ./internal/gateway/ ./internal/api/ ./internal/extract/
+	go test -race ./internal/compute/ ./internal/nn/ ./internal/train/ ./internal/dist/ ./internal/serve/ ./internal/obs/ ./internal/modelio/ ./internal/quantize/ ./internal/gateway/ ./internal/api/ ./internal/extract/
 
 vet:
 	go vet ./...

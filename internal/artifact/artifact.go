@@ -46,7 +46,8 @@ type Store struct {
 
 // Stats is a point-in-time snapshot of a store's traffic counters.
 type Stats struct {
-	// Hits and Misses count Open calls that found / did not find their key.
+	// Hits count Load calls that decoded their entry; Misses count Load
+	// calls whose entry was absent or unusable.
 	Hits, Misses int64
 	// ReadBytes and WriteBytes total the artifact payload traffic.
 	ReadBytes, WriteBytes int64
@@ -93,9 +94,9 @@ func (s *Store) Has(kind, key string) bool {
 	return err == nil
 }
 
-// Get opens the artifact for reading. A present key counts as a cache hit,
-// an absent one as a miss (the returned error wraps fs.ErrNotExist). Bytes
-// are counted as the caller reads them.
+// Get opens the artifact for reading; an absent key's error wraps
+// fs.ErrNotExist. Bytes are counted as the caller reads them. Get does not
+// touch the hit/miss counters: only Load knows whether the entry decodes.
 func (s *Store) Get(kind, key string) (io.ReadCloser, error) {
 	p, err := s.path(kind, key)
 	if err != nil {
@@ -103,17 +104,24 @@ func (s *Store) Get(kind, key string) (io.ReadCloser, error) {
 	}
 	f, err := os.Open(p)
 	if err != nil {
-		s.misses.Add(1)
-		if obs.Enabled() {
-			obs.Default.Counter("artifact_cache_misses_total").Inc()
-		}
 		return nil, fmt.Errorf("artifact: %s/%s: %w", kind, key[:8], err)
 	}
-	s.hits.Add(1)
-	if obs.Enabled() {
-		obs.Default.Counter("artifact_cache_hits_total").Inc()
-	}
 	return &countingReader{f: f, store: s}, nil
+}
+
+// count records one lookup as a cache hit or a miss.
+func (s *Store) count(hit bool) {
+	if hit {
+		s.hits.Add(1)
+		if obs.Enabled() {
+			obs.Default.Counter("artifact_cache_hits_total").Inc()
+		}
+		return
+	}
+	s.misses.Add(1)
+	if obs.Enabled() {
+		obs.Default.Counter("artifact_cache_misses_total").Inc()
+	}
 }
 
 // Put writes the artifact atomically: write streams the payload into a

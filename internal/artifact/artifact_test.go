@@ -39,14 +39,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !s.Has("ckpt", k) {
 		t.Fatal("Put did not publish")
 	}
-	rc, err := s.Get("ckpt", k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil || string(got) != string(payload) {
-		t.Fatalf("round trip: %q, %v", got, err)
+	got, err := Load(s, "ckpt", k, readAll)
+	if err != nil || string(*got) != string(payload) {
+		t.Fatalf("round trip: %v, %v", got, err)
 	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 0 {
@@ -57,6 +52,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// readAll is a Load read function that accepts any bytes.
+func readAll(r io.Reader) (*[]byte, error) {
+	b, err := io.ReadAll(r)
+	return &b, err
+}
+
+// TestGetMissingCountsMiss: an absent entry's error wraps fs.ErrNotExist
+// from Get and from Load, and only the Load counts, as one miss.
 func TestGetMissingCountsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -64,7 +67,11 @@ func TestGetMissingCountsMiss(t *testing.T) {
 	}
 	_, err = s.Get("ckpt", key("missing"))
 	if !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("error %v does not wrap fs.ErrNotExist", err)
+		t.Fatalf("Get error %v does not wrap fs.ErrNotExist", err)
+	}
+	_, err = Load(s, "ckpt", key("missing"), readAll)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Load error %v does not wrap fs.ErrNotExist", err)
 	}
 	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats %+v, want 1 miss", st)

@@ -78,12 +78,16 @@ func (c Codec[T]) header(r io.Reader) error {
 
 // Load opens the entry kind/key, decodes it with read and closes it. A
 // missing entry returns Get's error, which wraps fs.ErrNotExist; any other
-// error means the entry is present but unusable.
+// error means the entry is present but unusable. Only an entry that read
+// accepts counts as a cache hit; an absent or unusable one is a miss.
 func Load[T any](s *Store, kind, key string, read func(io.Reader) (*T, error)) (*T, error) {
 	rc, err := s.Get(kind, key)
 	if err != nil {
+		s.count(false)
 		return nil, err
 	}
 	defer rc.Close()
-	return read(rc)
+	v, err := read(rc)
+	s.count(err == nil)
+	return v, err
 }

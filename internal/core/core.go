@@ -59,10 +59,9 @@ func (m QuantMode) String() string {
 
 // Config describes one end-to-end experiment.
 type Config struct {
-	// Data is the full dataset; it is split into train/test internally.
+	// Data is the full dataset; it is split into train/test internally,
+	// holding out a fifth of it for testing.
 	Data *dataset.Dataset
-	// TestFrac is the held-out fraction (default 0.2).
-	TestFrac float64
 
 	// ModelCfg configures the MiniResNet the pipeline trains.
 	ModelCfg nn.ResNetConfig
@@ -77,13 +76,6 @@ type Config struct {
 	// <= 0 disables pre-processing: targets are drawn uniformly from the
 	// training set (the vanilla Eq 1 behaviour).
 	WindowLen float64
-
-	// TrainLabelNoise flips this fraction of *training* labels to random
-	// classes (test labels stay clean). The synthetic datasets are
-	// cleanly separable, unlike CIFAR-10; label noise reintroduces the
-	// irreducible error a real task has, capping benign accuracy near
-	// the paper's ~90% and making quantization's accuracy cost visible.
-	TrainLabelNoise float64
 
 	// Epochs, BatchSize, LR, Momentum, ClipNorm configure training.
 	Epochs    int
@@ -198,9 +190,6 @@ type Result struct {
 func Run(cfg Config) *Result {
 	if cfg.Data == nil {
 		panic("core: Config.Data is required")
-	}
-	if cfg.TestFrac == 0 {
-		cfg.TestFrac = 0.2
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 32

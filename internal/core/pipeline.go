@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math/rand"
 
 	"repro/internal/artifact"
 	"repro/internal/attack"
@@ -193,11 +192,13 @@ func (p *pipeline) archConf(k *artifact.Key) {
 
 // ---- split ---------------------------------------------------------------
 
-// stageSplit partitions the dataset, materializes the train/test tensors,
-// and applies training-label noise. It is never persisted: the split is a
-// cheap deterministic function of the dataset, and its key (the dataset's
-// content digest plus the split/noise parameters) is what downstream
-// stages inherit.
+// testFrac is the fraction of the dataset the split holds out for testing.
+const testFrac = 0.2
+
+// stageSplit partitions the dataset and materializes the train/test
+// tensors. It is never persisted: the split is a cheap deterministic
+// function of the dataset, and its key (the dataset's content digest plus
+// the split parameters) is what downstream stages inherit.
 func stageSplit() *stage {
 	return &stage{
 		name: "split",
@@ -205,23 +206,18 @@ func stageSplit() *stage {
 			if p.dataDigest == "" {
 				p.dataDigest = p.cfg.Data.ContentDigest()
 			}
+			// labelnoise 0 stands for a retired knob (training-label
+			// noise); keeping it keeps every key, and so stores written
+			// before it went, valid.
 			k.Str("data", p.dataDigest).
-				Float("testfrac", p.cfg.TestFrac).
-				Float("labelnoise", p.cfg.TrainLabelNoise).
+				Float("testfrac", testFrac).
+				Float("labelnoise", 0).
 				Int("seed", p.cfg.Seed)
 		},
 		run: func(p *pipeline) {
-			p.trainSet, p.testSet = p.cfg.Data.Split(p.cfg.TestFrac)
+			p.trainSet, p.testSet = p.cfg.Data.Split(testFrac)
 			p.x, p.y = p.trainSet.Tensors()
 			p.tx, p.ty = p.testSet.Tensors()
-			if p.cfg.TrainLabelNoise > 0 {
-				rng := rand.New(rand.NewSource(p.cfg.Seed + 7))
-				for i := range p.y {
-					if rng.Float64() < p.cfg.TrainLabelNoise {
-						p.y[i] = rng.Intn(p.cfg.Data.Classes)
-					}
-				}
-			}
 		},
 	}
 }

@@ -171,7 +171,7 @@ var groupBounds = core.CIFARRelease().GroupBounds
 // baseCfg assembles the shared training configuration.
 func (e *Env) baseCfg(d *dataset.Dataset, model nn.ResNetConfig) core.Config {
 	return core.Config{
-		Data: d, ModelCfg: model, TestFrac: 0.2,
+		Data: d, ModelCfg: model,
 		Epochs: e.epochs(), BatchSize: 32,
 		LR: 0.05, Momentum: 0.9, ClipNorm: 5,
 		Seed: e.Seed, FineTuneEpochs: 3,

@@ -146,9 +146,6 @@ func Import(rm *ReleasedModel) (*nn.Model, *quantize.Applied, error) {
 				assign := make([]int, len(qu.Indices[pi]))
 				vd := p.Value.Data()
 				for i, k := range qu.Indices[pi] {
-					if int(k) >= len(qu.Levels) {
-						return nil, nil, fmt.Errorf("%w: index %d out of range for %d levels", ErrMalformed, k, len(qu.Levels))
-					}
 					assign[i] = int(k)
 					vd[i] = qu.Levels[k]
 				}
@@ -270,6 +267,13 @@ func validate(rm *ReleasedModel) error {
 		}
 		if len(qu.ParamNames) != len(qu.Indices) {
 			return fmt.Errorf("%w: unit %q has %d parameter names but %d index slices", ErrMalformed, qu.Name, len(qu.ParamNames), len(qu.Indices))
+		}
+		for pi, idx := range qu.Indices {
+			for _, k := range idx {
+				if int(k) >= len(qu.Levels) {
+					return fmt.Errorf("%w: unit %q parameter %q has index %d out of range for %d levels", ErrMalformed, qu.Name, qu.ParamNames[pi], k, len(qu.Levels))
+				}
+			}
 		}
 	}
 	for _, bn := range rm.BNStats {

@@ -406,6 +406,17 @@ func TestMalformedReleasesRejected(t *testing.T) {
 			}
 			return rm
 		}, false},
+		{"quantized index out of range", func(t *testing.T) *ReleasedModel {
+			rm := quantizedRelease(t, 42)
+			qu := rm.Quantized[len(rm.Quantized)-1]
+			qu.Indices[0][len(qu.Indices[0])-1] = uint8(len(qu.Levels))
+			return rm
+		}, true},
+		{"codebook has 257 levels", func(t *testing.T) *ReleasedModel {
+			rm := quantizedRelease(t, 43)
+			rm.Quantized[0].Levels = make([]float64, 257)
+			return rm
+		}, true},
 		{"quantized parameter set twice", func(t *testing.T) *ReleasedModel {
 			rm := quantizedRelease(t, 41)
 			for _, qu := range rm.Quantized {

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/nn"
-	"repro/internal/quantize"
 )
 
 // IsRelease reports whether r starts with a released model's magic
@@ -45,49 +44,42 @@ func NumScalars(rm *ReleasedModel) int {
 // ImportNative reconstructs a quantized released model for codebook-native
 // serving: the architecture is rebuilt and dense parameters (biases,
 // batch-norm affine, unquantized weights) are filled exactly as Import
-// does, but quantized weights are never dequantized. Instead the model is
-// bound to a quantize.CodebookBackend whose views alias rm's codebooks and
-// uint8 index slices zero-copy, and the covered parameters' float
-// value/gradient storage is released — so the resident footprint of the
-// quantized weights is 1 byte per element plus the codebooks, not 16.
+// does, but quantized weights are never dequantized. Instead each one is
+// bound (nn.Param.BindCodebook) to a view aliasing rm's codebook and uint8
+// index slice zero-copy, which drops its float value and gradient storage
+// — so the resident footprint of the quantized weights is 1 byte per
+// element plus the codebooks, not 16. The int result is the number of
+// parameters bound to a codebook.
 //
-// The returned model is eval-only: training or reading covered parameter
-// values panics. Callers that need float weights (the extraction audit)
-// should Import the retained rm separately. Evaluation is bit-identical to
-// Import's dequantized model at any thread count (the kernel-level
-// guarantee pinned by quantize.TestCodebookNativeBitIdentical).
-func ImportNative(rm *ReleasedModel) (*nn.Model, *quantize.CodebookBackend, error) {
+// The returned model is eval-only: training or reading a bound
+// parameter's float values panics. Callers that need float weights (the
+// extraction audit) should Import the retained rm separately. Evaluation
+// is bit-identical to Import's dequantized model at any thread count (the
+// kernel-level guarantee pinned by TestImportNativeBitIdenticalToImport).
+func ImportNative(rm *ReleasedModel) (*nn.Model, int, error) {
 	if len(rm.Quantized) == 0 {
-		return nil, nil, fmt.Errorf("modelio: model has no quantized units; use Import for full-precision models")
+		return nil, 0, fmt.Errorf("modelio: model has no quantized units; use Import for full-precision models")
 	}
 	m, ps, err := importDense(rm)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	cb := quantize.NewCodebookBackend()
-	var covered []*nn.Param
+	bound := 0
 	for _, qu := range rm.Quantized {
 		for pi, name := range qu.ParamNames {
 			p, err := ps.claim(name, len(qu.Indices[pi]))
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			if !p.Weight {
-				return nil, nil, fmt.Errorf("modelio: quantized parameter %q is not a weight; codebook-native eval covers weights only", name)
+				return nil, 0, fmt.Errorf("modelio: quantized parameter %q is not a weight; codebook-native eval covers weights only", name)
 			}
-			if err := cb.AddUnit(name, qu.Levels, qu.Indices[pi]); err != nil {
-				return nil, nil, err
-			}
-			covered = append(covered, p)
+			p.BindCodebook(qu.Levels, qu.Indices[pi])
+			bound++
 		}
 	}
 	if err := restoreBN(m.Net, rm.BNStats); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	m.SetWeightsBackend(cb)
-	// Only now that every view is bound is it safe to drop the float copies.
-	for _, p := range covered {
-		p.ReleaseStorage()
-	}
-	return m, cb, nil
+	return m, bound, nil
 }

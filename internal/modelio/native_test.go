@@ -2,14 +2,17 @@ package modelio
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/quantize"
+	"repro/internal/tensor"
 )
 
 func quantizedRelease(tb testing.TB, seed int64) *ReleasedModel {
@@ -82,12 +85,12 @@ func TestImportNativeBitIdenticalToImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, cb, err := ImportNative(rm)
+	nat, bound, err := ImportNative(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.NumCovered() == 0 {
-		t.Fatal("native import covered no parameters")
+	if bound == 0 {
+		t.Fatal("native import bound no parameters")
 	}
 
 	rng := rand.New(rand.NewSource(14))
@@ -121,40 +124,58 @@ func TestImportNativeBitIdenticalToImport(t *testing.T) {
 	}
 }
 
-// TestImportNativeReleasesFloatStorage pins the memory win: covered weight
+// TestImportNativeReleasesFloatStorage pins the memory win: bound weight
 // parameters drop their float value/grad copies, the model still reports
 // its full scalar count, and the eval weight footprint shrinks below the
 // dense equivalent.
 func TestImportNativeReleasesFloatStorage(t *testing.T) {
 	rm := quantizedRelease(t, 15)
-	nat, cb, err := ImportNative(rm)
+	nat, bound, err := ImportNative(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := 0
+	released, viewBytes, denseBytes := 0, 0, 0
 	for _, p := range nat.WeightParams() {
-		if cb.Covers(p.Name) {
-			if !p.Released() {
-				t.Fatalf("covered parameter %s still holds float storage", p.Name)
-			}
-			released++
+		w := p.Weights()
+		if w.IsDense() {
+			continue
 		}
+		if p.Value.Len() != 0 || p.Grad.Len() != 0 {
+			t.Fatalf("bound parameter %s still holds float storage", p.Name)
+		}
+		released++
+		viewBytes += w.Bytes()
+		denseBytes += 8 * p.NumEl()
 	}
-	if released != cb.NumCovered() {
-		t.Fatalf("released %d params, backend covers %d", released, cb.NumCovered())
+	if released != bound {
+		t.Fatalf("released %d params, ImportNative bound %d", released, bound)
 	}
 	if nat.NumParams() != NumScalars(rm) {
 		t.Fatalf("NumParams %d != record scalars %d after release", nat.NumParams(), NumScalars(rm))
 	}
-	denseBytes := 0
-	for _, p := range nat.WeightParams() {
-		if cb.Covers(p.Name) {
-			denseBytes += 8 * p.NumEl()
+	if viewBytes >= denseBytes {
+		t.Fatalf("codebook views take %d bytes, dense floats would take %d", viewBytes, denseBytes)
+	}
+}
+
+// TestImportNativeTrainPanics pins the eval-only contract: a train-mode
+// forward through a codebook-bound weight panics, naming the parameter.
+func TestImportNativeTrainPanics(t *testing.T) {
+	nat, _, err := ImportNative(quantizedRelease(t, 18))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := nat.WeightParams()[0].Name // the first weight a forward pass reads
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("train-mode forward through codebook views did not panic")
 		}
-	}
-	if cb.Bytes() >= denseBytes {
-		t.Fatalf("codebook views take %d bytes, dense floats would take %d", cb.Bytes(), denseBytes)
-	}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, first) {
+			t.Fatalf("panic %q does not name %s", msg, first)
+		}
+	}()
+	nat.ForwardTrain(tensor.New(append([]int{1}, nat.InputShape...)...))
 }
 
 func TestImportNativeRejectsFullPrecision(t *testing.T) {

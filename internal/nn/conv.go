@@ -19,7 +19,6 @@ type Conv2D struct {
 	name    string
 	Dims    tensor.ConvDims
 	W, B    *Param
-	wview   tensor.Weights // eval weight view; defaults to aliasing W
 	lastIn  *tensor.Tensor
 	rowRuns tensor.Runs // W's row runs, scanned once per forward pass
 	colRuns tensor.Runs // W's column runs, scanned once per backward pass
@@ -38,13 +37,9 @@ func NewConv2D(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.R
 		name: name, Dims: d,
 		W:       newParam(name+".w", w, true),
 		B:       newParam(name+".b", b, false),
-		wview:   tensor.DenseWeights(w.Data()),
 		useBias: true,
 	}
 }
-
-// BindWeights implements WeightBound.
-func (c *Conv2D) BindWeights(b WeightsBackend) { c.wview = b.Weights(c.W) }
 
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
@@ -62,15 +57,15 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 		panic(fmt.Sprintf("nn: %s: input has %d elems/sample, want %d", c.name, x.Len()/n, c.Dims.InElems))
 	}
 	colSize := c.Dims.ColRows * c.Dims.Cols
+	wv := c.W.Weights()
 	if train {
-		requireDenseForTrain(c.name, c.wview)
+		c.W.requireDense()
 		c.lastIn = x
 		c.lastN = n
 	}
 	out := tensor.New(n, c.Dims.OutC, c.Dims.OutH, c.Dims.OutW)
 	xd := x.Data()
 	od := out.Data()
-	wv := c.wview
 	c.rowRuns.ScanRows(wv, c.Dims.OutC, c.Dims.ColRows)
 	var bd []float64
 	if c.useBias {

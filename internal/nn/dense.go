@@ -15,7 +15,6 @@ type Dense struct {
 	name     string
 	In, Out  int
 	W, B     *Param
-	wview    tensor.Weights // eval weight view; defaults to aliasing W
 	lastIn   *tensor.Tensor
 	dwPart   []float64 // per-sample dW partials, reduced in sample order
 	withBias bool
@@ -29,13 +28,9 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 		name: name, In: in, Out: out,
 		W:        newParam(name+".w", w, true),
 		B:        newParam(name+".b", b, false),
-		wview:    tensor.DenseWeights(w.Data()),
 		withBias: true,
 	}
 }
-
-// BindWeights implements WeightBound.
-func (d *Dense) BindWeights(b WeightsBackend) { d.wview = b.Weights(d.W) }
 
 // Name implements Layer.
 func (d *Dense) Name() string { return d.name }
@@ -47,14 +42,14 @@ func (d *Dense) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.
 	if x2.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s: input features %d, want %d", d.name, x2.Dim(1), d.In))
 	}
+	wv := d.W.Weights()
 	if train {
-		requireDenseForTrain(d.name, d.wview)
+		d.W.requireDense()
 		d.lastIn = x2
 	}
 	y := tensor.New(n, d.Out)
 	xd := x2.Data()
 	yd := y.Data()
-	wv := d.wview
 	var bd []float64
 	if d.withBias {
 		bd = d.B.Value.Data()

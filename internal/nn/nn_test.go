@@ -23,6 +23,38 @@ func TestDenseForwardExact(t *testing.T) {
 	}
 }
 
+// TestParamWeightsView pins a parameter's eval view: dense over its floats
+// until BindCodebook, then the codebook, with the float storage gone, the
+// element count kept, and the layer's forward pass reading the bound view.
+func TestParamWeightsView(t *testing.T) {
+	d := NewDense("d", 2, 3, rand.New(rand.NewSource(1)))
+	d.W.Value.CopyFrom(tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2))
+	w := d.W.Weights()
+	if !w.IsDense() || w.Len() != 6 || w.At(5) != 6 {
+		t.Fatalf("unbound view: dense=%v len=%d, want the parameter's 6 floats", w.IsDense(), w.Len())
+	}
+	x := tensor.FromSlice([]float64{1, -1}, 1, 2)
+	want := d.Forward(serialCtx, x, false).Data()
+
+	d.W.BindCodebook([]float64{6, 5, 4, 3, 2, 1}, []uint8{5, 4, 3, 2, 1, 0})
+	w = d.W.Weights()
+	if w.IsDense() || w.Len() != 6 || w.At(5) != 6 {
+		t.Fatalf("bound view: dense=%v len=%d, want the 6-element codebook", w.IsDense(), w.Len())
+	}
+	if d.W.Value.Len() != 0 || d.W.Grad.Len() != 0 {
+		t.Fatalf("bound parameter keeps %d values and %d gradients", d.W.Value.Len(), d.W.Grad.Len())
+	}
+	if d.W.NumEl() != 6 {
+		t.Fatalf("NumEl %d after binding, want 6", d.W.NumEl())
+	}
+	got := d.Forward(serialCtx, x, false).Data()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("out[%d]: codebook %v, floats %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestConv2DForwardExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := NewConv2D("c", 1, 3, 3, 1, 2, 1, 0, rng)

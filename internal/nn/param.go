@@ -35,6 +35,10 @@ type Param struct {
 	// not belong to an indexed layer. The paper's layer groups ("layers
 	// 1-12") are defined over this index.
 	ConvIndex int
+
+	// codebook is the eval view bound by BindCodebook; the zero value
+	// (dense, empty) means the parameter evaluates from its float storage.
+	codebook tensor.Weights
 }
 
 func newParam(name string, t *tensor.Tensor, weight bool) *Param {
@@ -49,22 +53,40 @@ func newParam(name string, t *tensor.Tensor, weight bool) *Param {
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// ReleaseStorage drops the parameter's float value and gradient storage.
-// Used by codebook-native model loading for weight parameters whose values
-// are served from a quantized view: the 8-byte-per-element float copies
-// would otherwise sit resident for nothing. A released parameter cannot be
-// trained or read; audit paths that need floats re-import the release
-// record instead.
-func (p *Param) ReleaseStorage() {
+// Weights returns the view the eval kernels multiply by: the codebook view
+// bound by BindCodebook, or else a dense view aliasing the parameter's
+// float storage.
+func (p *Param) Weights() tensor.Weights {
+	if !p.codebook.IsDense() {
+		return p.codebook
+	}
+	return tensor.DenseWeights(p.Value.Data())
+}
+
+// BindCodebook makes the parameter evaluate from a codebook view, element
+// i having value lut[idx[i]] (both slices aliased, not copied), and drops
+// the float value and gradient storage the view replaces: a quantized
+// release is served at 1 byte per weight instead of 16. idx holds one
+// index per element; tensor.CodebookWeights panics on a bad lookup table
+// or index, so callers validate untrusted records first. A bound
+// parameter is eval-only: its floats can no longer be trained or read.
+func (p *Param) BindCodebook(lut []float64, idx []uint8) {
+	p.codebook = tensor.CodebookWeights(lut, idx)
 	p.Value.Release()
 	p.Grad.Release()
 }
 
-// Released reports whether the parameter's float storage has been dropped.
-func (p *Param) Released() bool { return p.Value.Released() }
+// requireDense is the guard a weight layer calls on a train-mode forward:
+// a codebook view is eval-only, because gradients flow into float storage
+// the view does not alias.
+func (p *Param) requireDense() {
+	if !p.codebook.IsDense() {
+		panic(fmt.Sprintf("nn: %s: training needs float weights (parameter is bound to a codebook view)", p.Name))
+	}
+}
 
 // NumEl returns the number of scalar elements in the parameter. It is
-// derived from the shape, so it stays correct after ReleaseStorage.
+// derived from the shape, so it stays correct after BindCodebook.
 func (p *Param) NumEl() int { return p.Value.ShapeLen() }
 
 func (p *Param) String() string {

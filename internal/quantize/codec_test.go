@@ -2,8 +2,10 @@ package quantize
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -155,6 +157,49 @@ func TestAppliedBindRejectsMismatch(t *testing.T) {
 	oob.Units[0].Assign[0][0] = int32(len(oob.Units[0].Levels))
 	if _, err := oob.Bind(testModel(11)); err == nil {
 		t.Fatal("out-of-range cluster index accepted")
+	}
+}
+
+// TestCodebookBackendRejectsBadRecords feeds DecodeApplied and Bind the
+// stored bytes of records whose codebook or indices cannot describe the
+// model's weights: each must come back as an error from the first step
+// that checks for it, never a panic or a half-bound record. Structural
+// faults stop at DecodeApplied; an index past its codebook stops at Bind,
+// where indices are read. EncodeApplied refuses
+// these records, so the bytes are framed by hand, as a forged or damaged
+// store entry would be. The uint8 view's 256-level cap belongs to the
+// release format and is checked where releases are read (modelio).
+func TestCodebookBackendRejectsBadRecords(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		edit     func(*UnitBlob)
+		atDecode bool
+	}{
+		{"empty codebook", func(u *UnitBlob) { u.Levels, u.Bounds = nil, []float64{math.Inf(1)} }, true},
+		{"unnamed parameter", func(u *UnitBlob) { u.ParamNames[0] = "" }, true},
+		{"parameter without indices", func(u *UnitBlob) { u.Assign[0] = []int32{} }, true},
+		{"index out of range", func(u *UnitBlob) { u.Assign[0][0] = int32(len(u.Levels)) }, false},
+	} {
+		_, blob := appliedFixture(t)
+		c.edit(&blob.Units[0])
+		var buf bytes.Buffer
+		buf.WriteString(appliedMagic)
+		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeApplied(&buf)
+		if c.atDecode {
+			if err == nil {
+				t.Fatalf("%s: DecodeApplied accepted the record", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: DecodeApplied: %v", c.name, err)
+		}
+		if a, err := rec.Bind(testModel(11)); err == nil || a != nil {
+			t.Fatalf("%s: Bind accepted the record", c.name)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package quantize
 
 import (
-	"math/rand"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -13,7 +11,7 @@ type FineTuneConfig struct {
 	// Epochs is the number of fine-tuning passes (the paper's "light
 	// fine-tuning to boost accuracy").
 	Epochs int
-	// BatchSize is the minibatch size.
+	// BatchSize is the minibatch size (default 32).
 	BatchSize int
 	// LR is the centroid / free-parameter learning rate.
 	LR float64
@@ -30,79 +28,66 @@ type FineTuneConfig struct {
 // averaged into its centroid, and centroids plus all non-quantized
 // parameters (biases, batch-norm affine) are updated with SGD. Weights are
 // re-materialized from centroids after every step, so the model remains
-// exactly `levels`-valued throughout.
+// exactly `levels`-valued throughout. The loop is train.Run's, on the
+// model's own execution context, with sharedSGD as the optimizer.
 func FineTune(m *nn.Model, a *Applied, x *tensor.Tensor, y []int, cfg FineTuneConfig) {
 	if cfg.Epochs <= 0 {
 		return
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
 	if cfg.LR == 0 {
 		cfg.LR = 0.01
 	}
-	n := x.Dim(0)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	quantized := make(map[*nn.Param]bool)
+	opt := &sharedSGD{a: a, lr: cfg.LR, quantized: make(map[*nn.Param]bool)}
 	for _, u := range a.Units {
 		for _, p := range u.Params {
-			quantized[p] = true
+			opt.quantized[p] = true
 		}
 	}
-	var free []*nn.Param
-	for _, p := range m.Params() {
-		if !quantized[p] {
-			free = append(free, p)
-		}
-	}
-	sample := x.Len() / n
-	bx := tensor.New(cfg.BatchSize, sample)
-	by := make([]int, cfg.BatchSize)
-	xd := x.Data()
+	train.Run(m, x, y, train.Config{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, Seed: cfg.Seed, Reg: cfg.Reg,
+		Optimizer: opt, Ctx: m.Ctx(),
+	})
+}
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for lo := 0; lo+cfg.BatchSize <= n; lo += cfg.BatchSize {
-			bd := bx.Data()
-			for i, src := range perm[lo : lo+cfg.BatchSize] {
-				copy(bd[i*sample:(i+1)*sample], xd[src*sample:(src+1)*sample])
-				by[i] = y[src]
+// sharedSGD is fine-tuning's optimizer. Each centroid moves by the mean
+// gradient of its cluster's members, the quantized weights are rewritten
+// from the moved centroids, and every other parameter takes a plain SGD
+// step.
+type sharedSGD struct {
+	a         *Applied
+	lr        float64
+	quantized map[*nn.Param]bool
+}
+
+// Step implements train.Optimizer.
+func (o *sharedSGD) Step(params []*nn.Param) {
+	for _, u := range o.a.Units {
+		k := u.Book.NumLevels()
+		sums := make([]float64, k)
+		counts := make([]int, k)
+		for pi, p := range u.Params {
+			gd := p.Grad.Data()
+			for i, c := range u.Assign[pi] {
+				sums[c] += gd[i]
+				counts[c]++
 			}
-			batch := bx.Reshape(append([]int{cfg.BatchSize}, m.InputShape...)...)
-			m.ZeroGrad()
-			logits := m.ForwardTrain(batch)
-			_, grad := nn.SoftmaxCrossEntropy(logits, by)
-			m.Backward(grad)
-			if cfg.Reg != nil {
-				cfg.Reg.Apply(m)
+		}
+		for c := 0; c < k; c++ {
+			if counts[c] > 0 {
+				u.Book.Levels[c] -= o.lr * sums[c] / float64(counts[c])
 			}
-			// Centroid update: mean gradient of each cluster's members.
-			for _, u := range a.Units {
-				k := u.Book.NumLevels()
-				sums := make([]float64, k)
-				counts := make([]int, k)
-				for pi, p := range u.Params {
-					gd := p.Grad.Data()
-					for i, c := range u.Assign[pi] {
-						sums[c] += gd[i]
-						counts[c]++
-					}
-				}
-				for c := 0; c < k; c++ {
-					if counts[c] > 0 {
-						u.Book.Levels[c] -= cfg.LR * sums[c] / float64(counts[c])
-					}
-				}
-			}
-			a.Rewrite()
-			// Free parameters get plain SGD.
-			for _, p := range free {
-				p.Value.AddScaled(-cfg.LR, p.Grad)
-			}
+		}
+	}
+	o.a.Rewrite()
+	for _, p := range params {
+		if !o.quantized[p] {
+			p.Value.AddScaled(-o.lr, p.Grad)
 		}
 	}
 }
+
+// SetLR implements train.Optimizer.
+func (o *sharedSGD) SetLR(lr float64) { o.lr = lr }
+
+// LR implements train.Optimizer.
+func (o *sharedSGD) LR() float64 { return o.lr }

@@ -1,11 +1,13 @@
 package quantize
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 func testModel(seed int64) *nn.Model {
@@ -103,6 +105,62 @@ func TestAssignmentsMatchValues(t *testing.T) {
 	}
 }
 
+// TestCodebookNativeBitIdentical pins that a record's levels and
+// assignments fully determine the quantized weights: binding every unit as
+// codebook views scores bit-identically to the rewritten float weights, at
+// one worker and at four, over conv layers (W·col form) and the dense head
+// (a·Wᵀ form).
+func TestCodebookNativeBitIdentical(t *testing.T) {
+	m := nn.NewResNet(nn.ResNetConfig{
+		InC: 1, InH: 8, InW: 8, Classes: 4,
+		Widths: []int{4, 8}, Blocks: []int{1, 1}, Seed: 31,
+	})
+	a := QuantizeModel(m, WeightedEntropy{}, 8)
+	rng := rand.New(rand.NewSource(32))
+	inputs := make([][]float64, 6)
+	for i := range inputs {
+		inputs[i] = make([]float64, m.InputLen())
+		for j := range inputs[i] {
+			inputs[i][j] = rng.NormFloat64()
+		}
+	}
+
+	threads := []int{1, 4}
+	want := make([][][]float64, len(threads))
+	for ti, n := range threads {
+		m.SetThreads(n)
+		out, err := m.EvalBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[ti] = out
+	}
+	for _, u := range a.Units {
+		for pi, p := range u.Params {
+			idx := make([]uint8, len(u.Assign[pi]))
+			for i, k := range u.Assign[pi] {
+				idx[i] = uint8(k)
+			}
+			p.BindCodebook(u.Book.Levels, idx)
+		}
+	}
+	for ti, n := range threads {
+		m.SetThreads(n)
+		got, err := m.EvalBatch(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want[ti] {
+			for j := range want[ti][i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[ti][i][j]) {
+					t.Fatalf("threads=%d sample %d logit %d: codebook %v != dense %v",
+						n, i, j, got[i][j], want[ti][i][j])
+				}
+			}
+		}
+	}
+}
+
 // Quantization at a generous level count should barely hurt a trained
 // model, and fine-tuning should recover (or improve) accuracy at a low
 // level count. This is the substrate behaviour Tables I and III depend on.
@@ -110,7 +168,7 @@ func TestQuantizeAndFineTuneAccuracy(t *testing.T) {
 	m := testModel(5)
 	x, y := trainingBlob(400, 5)
 	// Train to high accuracy with plain SGD.
-	trainSimple(m, x, y, 30, 0.1)
+	train.Run(m, x, y, train.Config{Epochs: 30, Optimizer: train.NewSGD(0.1, 0, 0), Seed: 9})
 	accFull := m.Accuracy(x, y, 64)
 	if accFull < 0.95 {
 		t.Fatalf("base model accuracy %v too low for the test to be meaningful", accFull)
@@ -154,31 +212,6 @@ func TestFineTuneNoEpochsIsNoop(t *testing.T) {
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("FineTune with 0 epochs modified the model")
-		}
-	}
-}
-
-func trainSimple(m *nn.Model, x *tensor.Tensor, y []int, epochs int, lr float64) {
-	n := x.Dim(0)
-	bs := 32
-	rng := rand.New(rand.NewSource(9))
-	perm := rng.Perm(n)
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for lo := 0; lo+bs <= n; lo += bs {
-			bx := tensor.New(bs, x.Dim(1))
-			by := make([]int, bs)
-			for i, src := range perm[lo : lo+bs] {
-				copy(bx.Data()[i*x.Dim(1):(i+1)*x.Dim(1)], x.Data()[src*x.Dim(1):(src+1)*x.Dim(1)])
-				by[i] = y[src]
-			}
-			m.ZeroGrad()
-			logits := m.ForwardTrain(bx)
-			_, grad := nn.SoftmaxCrossEntropy(logits, by)
-			m.Backward(grad)
-			for _, p := range m.Params() {
-				p.Value.AddScaled(-lr, p.Grad)
-			}
 		}
 	}
 }

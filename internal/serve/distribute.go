@@ -75,24 +75,30 @@ func (r *Registry) LoadDigest(name, digest string, mode LoadMode) (*Entry, error
 	if store == nil {
 		return nil, fmt.Errorf("serve: load %q by digest: %w", name, ErrNoStore)
 	}
-	rc, err := store.Get(ReleaseKind, digest)
+	// The entry is accepted (a store hit) only if it decodes and hashes to
+	// its key; one that is present but rejected is corrupt and evicted.
+	corrupt := false
+	rm, err := artifact.Load(store, ReleaseKind, digest, func(rr io.Reader) (*modelio.ReleasedModel, error) {
+		rm, got, err := modelio.ReadWithDigest(rr)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("corrupt release %s evicted from store: %w", short(digest), err)
+		case got != digest:
+			err = fmt.Errorf("store entry %s hashes to %s (corruption); entry evicted", short(digest), short(got))
+		}
+		corrupt = err != nil
+		return rm, err
+	})
+	if corrupt {
+		store.Delete(ReleaseKind, digest)
+		return nil, fmt.Errorf("serve: load %q: %w", name, err)
+	}
 	if err != nil {
 		if keys, kerr := store.Keys(ReleaseKind); kerr == nil {
 			return nil, fmt.Errorf("serve: load %q: release %s not in store (%d release(s) available: %s): %w",
 				name, short(digest), len(keys), shortAll(keys), err)
 		}
 		return nil, fmt.Errorf("serve: load %q: %w", name, err)
-	}
-	defer rc.Close()
-	rm, got, err := modelio.ReadWithDigest(rc)
-	if err != nil {
-		store.Delete(ReleaseKind, digest)
-		return nil, fmt.Errorf("serve: load %q: corrupt release %s evicted from store: %w", name, short(digest), err)
-	}
-	if got != digest {
-		store.Delete(ReleaseKind, digest)
-		return nil, fmt.Errorf("serve: load %q: store entry %s hashes to %s (corruption); entry evicted",
-			name, short(digest), short(got))
 	}
 	return r.register(name, rm, digest, mode)
 }

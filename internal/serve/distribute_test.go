@@ -111,11 +111,15 @@ func TestLoadDigestErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	before := store.Stats()
 	if _, err := rs.LoadDigest("prod", bad, ModeAuto); err == nil {
 		t.Fatal("corrupt entry loaded")
 	}
 	if store.Has(ReleaseKind, bad) {
 		t.Fatal("corrupt entry not evicted")
+	}
+	if after := store.Stats(); after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("corrupt load moved stats %+v to %+v, want one more miss", before, after)
 	}
 
 	// Mis-keyed entry (valid release under the wrong digest): rejected and

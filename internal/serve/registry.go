@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/modelio"
 	"repro/internal/nn"
-	"repro/internal/quantize"
 )
 
 // LoadMode selects the physical form a quantized release is served in.
@@ -54,8 +53,6 @@ type Entry struct {
 
 	model  *nn.Model
 	engine *Engine
-	// backend holds the codebook views a native entry evaluates through.
-	backend *quantize.CodebookBackend
 	// rm is the release record, retained by native entries so weight-level
 	// consumers (the audit endpoint) can dequantize on demand; nil for
 	// dequantized entries, whose model already holds float weights.
@@ -92,14 +89,18 @@ func (en *Entry) AuditModel() (*nn.Model, error) {
 
 // ResidentBytes estimates the entry's resident model footprint: parameter
 // float storage (values and gradient accumulators actually allocated —
-// released parameters count zero), batch-norm running statistics, and, for
-// native entries, the codebook views plus the retained release record's
+// codebook-bound parameters count zero), batch-norm running statistics,
+// and, for native entries, each bound parameter's codebook view (its
+// indices plus its unit's lookup table) and the retained release record's
 // dense payload. This is the number BENCH_serve_quant.json compares across
 // load modes.
 func (en *Entry) ResidentBytes() int {
 	n := 0
 	for _, p := range en.model.Params() {
 		n += 8 * (p.Value.Len() + p.Grad.Len())
+		if w := p.Weights(); !w.IsDense() {
+			n += w.Bytes()
+		}
 	}
 	nn.Walk(en.model.Net, func(l nn.Layer) {
 		if bn, ok := l.(*nn.BatchNorm2D); ok {
@@ -107,7 +108,6 @@ func (en *Entry) ResidentBytes() int {
 		}
 	})
 	if en.Native {
-		n += en.backend.Bytes()
 		for _, b := range en.rm.Dense {
 			n += 8 * len(b.Values)
 		}
@@ -190,11 +190,11 @@ func (r *Registry) register(name string, rm *modelio.ReleasedModel, digest strin
 	}
 	switch mode {
 	case ModeNative:
-		m, cb, err := modelio.ImportNative(rm)
+		m, _, err := modelio.ImportNative(rm)
 		if err != nil {
 			return nil, fmt.Errorf("serve: load %q: %w", name, err)
 		}
-		en.model, en.backend, en.rm = m, cb, rm
+		en.model, en.rm = m, rm
 		en.Native = true
 	default:
 		m, _, err := modelio.Import(rm)

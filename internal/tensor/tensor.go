@@ -161,9 +161,6 @@ func (t *Tensor) Fill(v float64) {
 // shape implies regardless of whether storage is present.
 func (t *Tensor) Release() { t.data = nil }
 
-// Released reports whether the backing storage has been dropped.
-func (t *Tensor) Released() bool { return t.data == nil }
-
 // ShapeLen returns the element count implied by the shape, which for a
 // released tensor differs from Len().
 func (t *Tensor) ShapeLen() int {

@@ -70,22 +70,6 @@ func (w Weights) At(i int) float64 {
 	return w.lut[w.idx[i]]
 }
 
-// Materialize writes the view's values into dst (len must match), i.e.
-// dequantizes a codebook view. Used by audit paths that need a float
-// tensor, never by the eval kernels.
-func (w Weights) Materialize(dst []float64) {
-	if len(dst) != w.Len() {
-		panic(fmt.Sprintf("tensor: Materialize dst has %d elements, view has %d", len(dst), w.Len()))
-	}
-	if w.IsDense() {
-		copy(dst, w.dense)
-		return
-	}
-	for i, k := range w.idx {
-		dst[i] = w.lut[k]
-	}
-}
-
 // MatMulWSlice computes dst = W·b for W (m×k) in view form and b (k×n) —
 // the convolution forward shape (W is the kernel matrix, b the im2col patch
 // matrix). r holds W's row runs (Runs.ScanRows), found once for every
